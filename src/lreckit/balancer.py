@@ -17,7 +17,6 @@ from .errors import (
     IsLeaf,
     NotAcyclic,
     NotRooted,
-    PreconditionViolated,
 )
 from .structures import DiGraph, reachable_closure, topological_order
 
@@ -118,40 +117,6 @@ def split_type0(g: DiGraph, v: int, cache: _AwtCache | None = None) -> int:
                 f"successor {b} of splitter {a} violates the ceil bound"
             )
     return a
-
-
-def split_type1(g: DiGraph, v: int, w: int, cache: _AwtCache | None = None) -> int:
-    """Splitter for a subgraph restricted by waypoint w: a vertex a with
-    v <= a < w (reachability order) whose split keeps every resulting
-    child subgraph as light as possible.
-
-    Brute force over all candidates u with v <= u < w (u = v always
-    qualifies, so a splitter always exists). For each candidate the
-    children are (v, {u}), then (b, {w}) for successors b of u reaching w
-    and (b, {}) for the rest; the candidate minimising the heaviest child
-    weight is chosen, smallest id on ties. A min-max choice rather than a
-    fixed half-weight threshold: no single candidate is guaranteed to
-    bound both the upper part and all successor parts by half at once,
-    but the balanced choice keeps the aggregate weight halving every two
-    levels on decomposable inputs, which is what check_tree verifies.
-    """
-    cache = cache or _AwtCache(g)
-    if w not in cache.reach(v) or v == w:
-        raise PreconditionViolated(f"need {v} strictly before {w}")
-    best: tuple[int, int] | None = None
-    for u in sorted(cache.reach(v)):
-        if u == w or w not in cache.reach(u):
-            continue
-        worst = cache.awt(v, frozenset((u,)))
-        for b in g.out_neighbours[u]:
-            if w in cache.reach(b):
-                worst = max(worst, cache.awt(b, frozenset((w,))))
-            else:
-                worst = max(worst, cache.awt(b, frozenset()))
-        if best is None or (worst, u) < best:
-            best = (worst, u)
-    assert best is not None  # u = v is always a candidate
-    return best[1]
 
 
 def _split_parts(g: DiGraph, v: int, w: int | None, a: int,

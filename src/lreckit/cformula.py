@@ -2,11 +2,13 @@
 
 Formulas are interned: structurally equal trees share one node, so the
 recursive formula families built by the compiler stay DAG-sized. Nodes
-cache quantifier depth and the set of variable names occurring.
+cache quantifier depth and the set of variable names occurring. Every
+mk_* call takes the Interner its caller owns; there is no shared default.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Iterable
 
@@ -32,6 +34,10 @@ EQN = "="
 LE = "<="
 
 MAX_THRESHOLD = 1_000_000
+
+# Node ids are unique per process, not per interner: memos and intern keys
+# built from nids never confuse nodes of two different interners.
+_NIDS = itertools.count()
 
 
 class CFormula:
@@ -104,7 +110,7 @@ class Interner:
             existing = self._table.get(key)
             if existing is not None:
                 return existing
-            node.nid = len(self._table)
+            node.nid = next(_NIDS)
             self._table[key] = node
             return node
 
@@ -112,31 +118,20 @@ class Interner:
         return len(self._table)
 
 
-_DEFAULT = Interner()
-
-
-def default_interner() -> Interner:
-    return _DEFAULT
-
-
-def mk_bool(value: bool, interner: Interner | None = None) -> CFormula:
-    interner = interner if interner is not None else _DEFAULT
+def mk_bool(value: bool, interner: Interner) -> CFormula:
     return interner.intern(CFormula(BOOL, value=bool(value)))
 
 
-def mk_eq(x: str, y: str, interner: Interner | None = None) -> CFormula:
-    interner = interner if interner is not None else _DEFAULT
+def mk_eq(x: str, y: str, interner: Interner) -> CFormula:
     return interner.intern(CFormula(EQ, vars=(x, y)))
 
 
 def mk_atom(symbol: str, vars: Iterable[str],
-            interner: Interner | None = None) -> CFormula:
-    interner = interner if interner is not None else _DEFAULT
+            interner: Interner) -> CFormula:
     return interner.intern(CFormula(ATOM, symbol=symbol, vars=tuple(vars)))
 
 
-def mk_not(child: CFormula, interner: Interner | None = None) -> CFormula:
-    interner = interner if interner is not None else _DEFAULT
+def mk_not(child: CFormula, interner: Interner) -> CFormula:
     if child.kind == BOOL:
         return mk_bool(not child.value, interner)
     if child.kind == NOT:
@@ -145,8 +140,7 @@ def mk_not(child: CFormula, interner: Interner | None = None) -> CFormula:
 
 
 def mk_or(children: Iterable[CFormula],
-          interner: Interner | None = None) -> CFormula:
-    interner = interner if interner is not None else _DEFAULT
+          interner: Interner) -> CFormula:
     kept = []
     for c in children:
         if c.kind == BOOL:
@@ -162,8 +156,7 @@ def mk_or(children: Iterable[CFormula],
 
 
 def mk_and(children: Iterable[CFormula],
-           interner: Interner | None = None) -> CFormula:
-    interner = interner if interner is not None else _DEFAULT
+           interner: Interner) -> CFormula:
     kept = []
     for c in children:
         if c.kind == BOOL:
@@ -179,8 +172,7 @@ def mk_and(children: Iterable[CFormula],
 
 
 def mk_count(mode: str, threshold: int, bound_var: str, child: CFormula,
-             interner: Interner | None = None) -> CFormula:
-    interner = interner if interner is not None else _DEFAULT
+             interner: Interner) -> CFormula:
     if mode not in (GE, EQN, LE):
         raise MalformedInput(f"unknown counting mode {mode!r}")
     if threshold < 0 or threshold > MAX_THRESHOLD:
@@ -202,17 +194,17 @@ def mk_count(mode: str, threshold: int, bound_var: str, child: CFormula,
 
 
 def mk_exists(var: str, child: CFormula,
-              interner: Interner | None = None) -> CFormula:
+              interner: Interner) -> CFormula:
     return mk_count(GE, 1, var, child, interner)
 
 
 def mk_forall(var: str, child: CFormula,
-              interner: Interner | None = None) -> CFormula:
+              interner: Interner) -> CFormula:
     return mk_not(mk_count(GE, 1, var, mk_not(child, interner), interner), interner)
 
 
 def mk_implies(a: CFormula, b: CFormula,
-               interner: Interner | None = None) -> CFormula:
+               interner: Interner) -> CFormula:
     return mk_or([mk_not(a, interner), b], interner)
 
 
@@ -267,9 +259,8 @@ class Evaluator:
     variables), so sharing in the hash-consed DAG pays off across calls.
     """
 
-    def __init__(self, structure: RelStructure, memoize: bool = True):
+    def __init__(self, structure: RelStructure):
         self.structure = structure
-        self.memoize = memoize
         self._memo: dict[tuple, bool] = {}
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:
@@ -282,14 +273,12 @@ class Evaluator:
     def _eval(self, f: CFormula, a: dict[str, int]) -> bool:
         if f.kind == BOOL:
             return f.value
-        if self.memoize:
-            key = (f.nid, tuple(sorted((v, a[v]) for v in f.free_vars)))
-            cached = self._memo.get(key)
-            if cached is not None:
-                return cached
+        key = (f.nid, tuple(sorted((v, a[v]) for v in f.free_vars)))
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
         result = self._eval_inner(f, a)
-        if self.memoize:
-            self._memo[key] = result
+        self._memo[key] = result
         return result
 
     def _eval_inner(self, f: CFormula, a: dict[str, int]) -> bool:
@@ -319,9 +308,8 @@ class Evaluator:
 
 
 def eval_formula(s: RelStructure, f: CFormula,
-                 assignment: dict[str, int] | None = None,
-                 memoize: bool = True) -> bool:
-    return Evaluator(s, memoize=memoize).eval(f, assignment)
+                 assignment: dict[str, int] | None = None) -> bool:
+    return Evaluator(s).eval(f, assignment)
 
 
 class TableEvaluator:
@@ -344,8 +332,6 @@ class TableEvaluator:
         s = self.structure
         n = s.n
         fv = tuple(sorted(f.free_vars))
-        import itertools
-
         if f.kind in (BOOL, EQ, ATOM):
             if f.kind == ATOM and f.symbol not in s.vocabulary:
                 raise UnknownSymbol(f.symbol)
@@ -468,7 +454,7 @@ def parse_sexpr_data(text: str):
     return data
 
 
-def formula_from_data(data, interner: Interner | None = None) -> CFormula:
+def formula_from_data(data, interner: Interner) -> CFormula:
     if not isinstance(data, list) or not data:
         raise MalformedInput(f"expected a list form, got {data!r}")
     head = data[0]
@@ -504,5 +490,5 @@ def formula_from_data(data, interner: Interner | None = None) -> CFormula:
     raise MalformedInput(f"unknown form {head!r}")
 
 
-def parse_sexpr(text: str, interner: Interner | None = None) -> CFormula:
+def parse_sexpr(text: str, interner: Interner) -> CFormula:
     return formula_from_data(parse_sexpr_data(text), interner)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import balancer, compile as compiler, corpus, dagstats, intervals, wl
-from .cformula import TableEvaluator, parse_sexpr, print_sexpr
+from .cformula import Interner, TableEvaluator, parse_sexpr, print_sexpr
 from .errors import LreckitError
 from .lformula import TwoSortedAssignment, eval_lrec, parse_lsexpr
 from .structures import parse_digraph, parse_graph, parse_structure
@@ -41,7 +41,8 @@ def _load_instance(args):
 
 def cmd_eval(args) -> int:
     s = parse_structure(_read(args.structure))
-    f = parse_sexpr(args.sexpr if args.sexpr else _read(args.formula))
+    f = parse_sexpr(args.sexpr if args.sexpr else _read(args.formula),
+                    Interner())
     assign = json.loads(args.assign) if args.assign else {}
     result = TableEvaluator(s).eval(f, assign)
     _emit({"result": result}, args.out)
@@ -72,7 +73,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_compile(args) -> int:
     params = compiler.CompileParams(args.n, args.r)
-    f = compiler.compile_x_formula(params, args.i)
+    f = compiler.compile_x_formula(params, args.i,
+                                   cache=compiler.FormulaCache())
     doc = {
         "formula": print_sexpr(f),
         "stats": {**compiler.formula_stats(f), "H": params.H},
@@ -84,14 +86,16 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     params = compiler.CompileParams(args.n, args.r)
     instances = corpus.generate_corpus(args.seed, args.n, args.count)
+    cache = compiler.FormulaCache()
+    formulas = {i: compiler.compile_x_formula(params, i, cache=cache)
+                for i in range(1, args.n + 2)}
     mismatches = []
     checked = 0
     for idx, (g, c) in enumerate(instances):
         s = encode_tau_n(g, c, args.n)
         ev = TableEvaluator(s)
         inst = XInstance(g, c)
-        for i in range(1, args.n + 2):
-            f = compiler.compile_x_formula(params, i)
+        for i, f in formulas.items():
             for v in range(g.n):
                 checked += 1
                 got = ev.eval(f, {"x": v})
@@ -166,8 +170,6 @@ def cmd_interval(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lreckit")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; execution is sequential")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):

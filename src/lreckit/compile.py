@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from .cformula import (
     CFormula,
     EQN,
-    GE,
-    LE,
     Interner,
-    default_interner,
+    _compare,
     mk_and,
     mk_atom,
     mk_bool,
@@ -65,6 +63,7 @@ from .lformula import (
     NUMLE,
     NUMSUCC,
     decode_number,
+    term_value,
 )
 
 PALETTE = ("x", "y", "z", "u", "v", "w")
@@ -107,10 +106,12 @@ class FormulaCache:
 
     Families: deg, path, child0, child1, psi0, psi1. All construction goes
     through the cache; the recursive definitions would blow up as trees.
+    The cache owns the interner its nodes are built on: the one passed in,
+    or a fresh one.
     """
 
     def __init__(self, interner: Interner | None = None):
-        self.interner = interner if interner is not None else default_interner()
+        self.interner = interner if interner is not None else Interner()
         self._memo: dict[tuple, CFormula] = {}
 
     def get(self, key: tuple) -> CFormula | None:
@@ -124,18 +125,9 @@ class FormulaCache:
         return len(self._memo)
 
 
-_DEFAULT_CACHE = FormulaCache()
-
-
-def default_cache() -> FormulaCache:
-    return _DEFAULT_CACHE
-
-
-def deg_formula(d: int, target: str = "x", aux: str = "y",
-                n: int | None = None,
-                interner: Interner | None = None) -> CFormula:
+def deg_formula(d: int, target: str, aux: str, interner: Interner) -> CFormula:
     """In-degree test: exactly d elements with an edge into target."""
-    if d < 0 or (n is not None and d > n):
+    if d < 0:
         raise RangeViolation(f"degree {d} out of range")
     if aux == target:
         raise MalformedInput("aux variable must differ from target")
@@ -143,11 +135,10 @@ def deg_formula(d: int, target: str = "x", aux: str = "y",
 
 
 def path_formula(h: int, l: int, lp: int, params: CompileParams,
-                 x: str = "x", y: str = "y",
-                 cache: FormulaCache | None = None) -> CFormula:
+                 x: str = "x", y: str = "y", *,
+                 cache: FormulaCache) -> CFormula:
     """Resource-annotated reachability: a walk from (x, l) to (y, lp) in
     the unfolded recursion DAG, verifiable in h doubling steps."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
     itn = cache.interner
     key = ("path", params.n, h, l, lp, x, y)
     hit = cache.get(key)
@@ -160,7 +151,7 @@ def path_formula(h: int, l: int, lp: int, params: CompileParams,
         else:
             aux = _fresh({x, y})
             degs = [
-                deg_formula(d, y, aux, interner=itn)
+                deg_formula(d, y, aux, itn)
                 for d in range(1, n + 1)
                 if (l - 1) // d == lp
             ]
@@ -168,8 +159,9 @@ def path_formula(h: int, l: int, lp: int, params: CompileParams,
     else:
         z = _fresh({x, y})
         options = [
-            mk_and([path_formula(h - 1, l, j, params, x, z, cache),
-                    path_formula(h - 1, j, lp, params, z, y, cache)], itn)
+            mk_and([path_formula(h - 1, l, j, params, x, z, cache=cache),
+                    path_formula(h - 1, j, lp, params, z, y, cache=cache)],
+                   itn)
             for j in range(lp, l + 1)
         ]
         f = mk_exists(z, mk_or(options, itn), itn)
@@ -189,7 +181,7 @@ def _psi0_base(ip: int, params: CompileParams, x: str,
     # The degree disjunction starts at i' (the node is a leaf exactly when
     # every successor's in-degree is at least i'); see the build decisions
     # ledger, entry "psi0-degree-range".
-    degs = [deg_formula(d, y, aux, interner=itn) for d in range(ip, n + 1)]
+    degs = [deg_formula(d, y, aux, itn) for d in range(ip, n + 1)]
     f = mk_and([
         mk_atom("P0", (x,), itn),
         mk_forall(y, mk_or([mk_not(mk_atom("E", (x, y), itn), itn),
@@ -198,10 +190,9 @@ def _psi0_base(ip: int, params: CompileParams, x: str,
     return cache.put(key, f)
 
 
-def psi_t0(h: int, ip: int, params: CompileParams, x: str = "x",
-           cache: FormulaCache | None = None) -> CFormula:
+def psi_t0(h: int, ip: int, params: CompileParams, x: str = "x", *,
+           cache: FormulaCache) -> CFormula:
     """Type-0 family: (x, ip) lies in X, verifiable in h recursion steps."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
     itn = cache.interner
     key = ("psi0", params.n, h, ip, x)
     hit = cache.get(key)
@@ -217,9 +208,9 @@ def psi_t0(h: int, ip: int, params: CompileParams, x: str = "x",
         y = _fresh({x})
         options = [
             mk_and([
-                path_formula(h, ip, l, params, x, y, cache),
-                children_t0(h - 1, l, c, params, y, cache),
-                psi_t1(h - 1, ip, l, c, params, x, y, cache),
+                path_formula(h, ip, l, params, x, y, cache=cache),
+                children_t0(h - 1, l, c, params, y, cache=cache),
+                psi_t1(h - 1, ip, l, c, params, x, y, cache=cache),
             ], itn)
             # l = ip is the degenerate split at (x, ip) itself: the path
             # collapses to x = y and the type-1 conjunct to P_c(x), giving
@@ -234,9 +225,8 @@ def psi_t0(h: int, ip: int, params: CompileParams, x: str = "x",
 
 
 def children_t0(h: int, l: int, c: int, params: CompileParams, y: str = "y",
-                cache: FormulaCache | None = None) -> CFormula:
+                *, cache: FormulaCache) -> CFormula:
     """(y, l) admits exactly c type-0 children inside X."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
     itn = cache.interner
     key = ("child0", params.n, h, l, c, y)
     hit = cache.get(key)
@@ -246,8 +236,8 @@ def children_t0(h: int, l: int, c: int, params: CompileParams, y: str = "y",
     z = _fresh({y})
     aux = _fresh({y, z})
     per_d = [
-        mk_and([deg_formula(d, z, aux, interner=itn),
-                psi_t0(h, (l - 1) // d, params, z, cache)], itn)
+        mk_and([deg_formula(d, z, aux, itn),
+                psi_t0(h, (l - 1) // d, params, z, cache=cache)], itn)
         for d in range(1, n + 1)
     ]
     body = mk_and([mk_atom("E", (y, z), itn), mk_or(per_d, itn)], itn)
@@ -255,12 +245,11 @@ def children_t0(h: int, l: int, c: int, params: CompileParams, y: str = "y",
 
 
 def psi_t1(h: int, ip: int, j: int, c: int, params: CompileParams,
-           x: str = "x", y: str = "y",
-           cache: FormulaCache | None = None) -> CFormula:
+           x: str = "x", y: str = "y", *,
+           cache: FormulaCache) -> CFormula:
     """Type-1 family: (x, ip) lies in X, verifiable in h steps while
     stopping at the waypoint (y, j), assumed to have exactly c in-X
     children."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
     itn = cache.interner
     key = ("psi1", params.n, h, ip, j, c, x, y)
     hit = cache.get(key)
@@ -280,10 +269,10 @@ def psi_t1(h: int, ip: int, j: int, c: int, params: CompileParams,
         z = _fresh({x, y})
         options = [
             mk_and([
-                path_formula(h, ip, l, params, x, z, cache),
-                path_formula(h, l, j, params, z, y, cache),
-                children_t1(h - 1, l, j, c, cp, params, z, y, cache),
-                psi_t1(h - 1, ip, l, cp, params, x, z, cache),
+                path_formula(h, ip, l, params, x, z, cache=cache),
+                path_formula(h, l, j, params, z, y, cache=cache),
+                children_t1(h - 1, l, j, c, cp, params, z, y, cache=cache),
+                psi_t1(h - 1, ip, l, cp, params, x, z, cache=cache),
             ], itn)
             # l = ip reaches the diagonal base case via the degenerate
             # split at (x, ip) itself (ledger entry "psi-ell-range")
@@ -295,12 +284,11 @@ def psi_t1(h: int, ip: int, j: int, c: int, params: CompileParams,
 
 
 def children_t1(h: int, l: int, j: int, c: int, cp: int,
-                params: CompileParams, z: str = "z", y: str = "y",
-                cache: FormulaCache | None = None) -> CFormula:
+                params: CompileParams, z: str = "z", y: str = "y", *,
+                cache: FormulaCache) -> CFormula:
     """(z, l) admits exactly cp children inside X, given that the waypoint
     (y, j) has exactly c; children above the waypoint recurse as type 1,
     the rest as type 0."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
     itn = cache.interner
     key = ("child1", params.n, h, l, j, c, cp, z, y)
     hit = cache.get(key)
@@ -312,29 +300,28 @@ def children_t1(h: int, l: int, j: int, c: int, cp: int,
     per_d = []
     for d in range(1, n + 1):
         lnext = (l - 1) // d
-        above = path_formula(h, lnext, j, params, zp, y, cache)
+        above = path_formula(h, lnext, j, params, zp, y, cache=cache)
         branch = mk_or([
-            mk_and([psi_t0(h, lnext, params, zp, cache),
+            mk_and([psi_t0(h, lnext, params, zp, cache=cache),
                     mk_not(above, itn)], itn),
-            mk_and([psi_t1(h, lnext, j, c, params, zp, y, cache),
+            mk_and([psi_t1(h, lnext, j, c, params, zp, y, cache=cache),
                     above], itn),
         ], itn)
-        per_d.append(mk_and([deg_formula(d, zp, aux, interner=itn),
+        per_d.append(mk_and([deg_formula(d, zp, aux, itn),
                              branch], itn))
     body = mk_and([mk_atom("E", (z, zp), itn), mk_or(per_d, itn)], itn)
     return cache.put(key, mk_count(EQN, cp, zp, body, itn))
 
 
-def compile_x_formula(params: CompileParams, i: int, x: str = "x",
-                      cache: FormulaCache | None = None) -> CFormula:
+def compile_x_formula(params: CompileParams, i: int, x: str = "x", *,
+                      cache: FormulaCache) -> CFormula:
     """The formula phi_i(x) deciding (x, i) in X on encoded instances of
     size at most n."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
     if not (1 <= i <= (params.n + 1) ** params.r):
         raise RangeViolation(
             f"resource {i} not in [1, {(params.n + 1) ** params.r}]"
         )
-    return psi_t0(params.H, i, params, x, cache)
+    return psi_t0(params.H, i, params, x, cache=cache)
 
 
 def formula_stats(f: CFormula) -> dict:
@@ -349,24 +336,9 @@ def formula_stats(f: CFormula) -> dict:
 
 # --- number elimination ----------------------------------------------------
 
-def _term_value(term: tuple, num_map: dict[str, int], n: int) -> int:
-    if term[0] == "var":
-        if term[1] not in num_map:
-            raise UnboundVariable(f"number variable {term[1]!r} unassigned")
-        return num_map[term[1]]
-    if term[0] == "lit":
-        if term[1] > n:
-            raise RangeViolation(f"literal {term[1]} exceeds n={n}")
-        return term[1]
-    if term[0] == "min":
-        return 0
-    return n  # max
-
-
 def eliminate_numbers(lf: LFormula, dom_map: dict[str, str],
                       num_map: dict[str, int], n: int,
-                      interner: Interner | None = None,
-                      _depth: int = 0) -> CFormula:
+                      interner: Interner) -> CFormula:
     """Turn a recursion-free two-sorted formula into a counting-logic
     formula, valid on structures of size exactly n.
 
@@ -376,7 +348,7 @@ def eliminate_numbers(lf: LFormula, dom_map: dict[str, str],
     dom_map; bound ones get depth-indexed names (b0, b1, ...) so no
     instantiation can capture them.
     """
-    itn = interner if interner is not None else default_interner()
+    itn = interner
 
     def go(f: LFormula, dmap, nmap, depth) -> CFormula:
         if f.kind == LBOOL:
@@ -401,21 +373,21 @@ def eliminate_numbers(lf: LFormula, dom_map: dict[str, str],
                 [go(f.children[0], dmap, {**nmap, f.bound_var: v}, depth)
                  for v in range(n + 1)], itn)
         if f.kind == NUMLE:
-            return mk_bool(_term_value(f.terms[0], nmap, n)
-                           <= _term_value(f.terms[1], nmap, n), itn)
+            return mk_bool(term_value(f.terms[0], nmap, n)
+                           <= term_value(f.terms[1], nmap, n), itn)
         if f.kind == NUMSUCC:
-            return mk_bool(_term_value(f.terms[0], nmap, n) + 1
-                           == _term_value(f.terms[1], nmap, n), itn)
+            return mk_bool(term_value(f.terms[0], nmap, n) + 1
+                           == term_value(f.terms[1], nmap, n), itn)
         if f.kind == NUMEQ:
-            return mk_bool(_term_value(f.terms[0], nmap, n)
-                           == _term_value(f.terms[1], nmap, n), itn)
+            return mk_bool(term_value(f.terms[0], nmap, n)
+                           == term_value(f.terms[1], nmap, n), itn)
         if f.kind == COUNTDOM:
             b = f"b{depth}"
-            target = _term_value(f.kappa, nmap, n)
+            target = term_value(f.kappa, nmap, n)
             body = go(f.children[0], {**dmap, f.bound_var: b}, nmap, depth + 1)
             return mk_count(EQN, target, b, body, itn)
         if f.kind == COUNTNUM:
-            target = _term_value(f.kappa, nmap, n)
+            target = term_value(f.kappa, nmap, n)
             instances = [
                 go(f.children[0], dmap, {**nmap, f.bound_var: v}, depth)
                 for v in range(n + 1)
@@ -439,7 +411,7 @@ def eliminate_numbers(lf: LFormula, dom_map: dict[str, str],
     missing_n = lf.num_free - num_map.keys()
     if missing_n:
         raise UnboundVariable(f"unassigned number variables: {sorted(missing_n)}")
-    return go(lf, dict(dom_map), dict(num_map), _depth)
+    return go(lf, dict(dom_map), dict(num_map), 0)
 
 
 # --- the recursion-operator translation ------------------------------------
@@ -453,16 +425,8 @@ def _count_vectors(n: int):
             yield q
 
 
-def _cmp(count: int, mode: str, threshold: int) -> bool:
-    if mode == GE:
-        return count >= threshold
-    if mode == LE:
-        return count <= threshold
-    return count == threshold
-
-
 def translate_lrec_once(f: LFormula, n: int, m_values,
-                        cache: FormulaCache | None = None) -> CFormula:
+                        cache: FormulaCache) -> CFormula:
     """Translate one outermost recursion operator (tuple width 1) over
     recursion-free subformulas into a counting-logic formula on the source
     vocabulary, for structures of size exactly n and the given values of
@@ -477,7 +441,6 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
     s". This assumes the equality formula defines a genuine equivalence
     relation (see the build decisions ledger, entry "class-counting").
     """
-    cache = cache if cache is not None else _DEFAULT_CACHE
     itn = cache.interner
     if f.kind != LREC:
         raise MalformedInput("expected an outermost lrec formula")
@@ -535,7 +498,7 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
         return mk_count(EQN, s, s1, psi_eq(s1, z), itn)
 
     params = CompileParams(n, len(f.kappas))
-    phi_x = compile_x_formula(params, resource, QUERY_VAR, cache)
+    phi_x = compile_x_formula(params, resource, QUERY_VAR, cache=cache)
 
     memo: dict[int, CFormula] = {}
 
@@ -578,7 +541,7 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
             z = node.bound_var
             picks = []
             for q in _count_vectors(n):
-                if not _cmp(sum(q), node.mode, node.threshold):
+                if not _compare(sum(q), node.mode, node.threshold):
                     continue
                 conj = [
                     mk_count(EQN, s * qs, z,

@@ -274,6 +274,24 @@ class QuotientGraph:
         return g, cond
 
 
+def term_value(term: tuple, num: dict[str, int], n: int) -> int:
+    """Value of a number term under the number assignment num, on a
+    structure with n elements."""
+    if term[0] == "var":
+        if term[1] not in num:
+            raise UnboundVariable(f"number variable {term[1]!r} unassigned")
+        return num[term[1]]
+    if term[0] == "lit":
+        if term[1] > n:
+            raise RangeViolation(f"literal {term[1]} exceeds n={n}")
+        return term[1]
+    if term[0] == "min":
+        return 0
+    if term[0] == "max":
+        return n
+    raise MalformedInput(f"unknown number term {term!r}")
+
+
 class LEvaluator:
     """Memoizing two-sorted model checker; handles lrec recursively."""
 
@@ -281,26 +299,6 @@ class LEvaluator:
         self.structure = structure
         self.allow_lrec = allow_lrec
         self._memo: dict[tuple, bool] = {}
-
-    # -- number terms ------------------------------------------------------
-
-    def term_value(self, term: tuple, a: TwoSortedAssignment) -> int:
-        n = self.structure.n
-        if term[0] == "var":
-            if term[1] not in a.num:
-                raise UnboundVariable(f"number variable {term[1]!r} unassigned")
-            return a.num[term[1]]
-        if term[0] == "lit":
-            if term[1] > n:
-                raise RangeViolation(f"literal {term[1]} exceeds n={n}")
-            return term[1]
-        if term[0] == "min":
-            return 0
-        if term[0] == "max":
-            return n
-        raise MalformedInput(f"unknown number term {term!r}")
-
-    # -- formulas ----------------------------------------------------------
 
     def eval(self, f: LFormula, a: TwoSortedAssignment | None = None) -> bool:
         a = a or TwoSortedAssignment()
@@ -361,11 +359,11 @@ class LEvaluator:
                     return True
             return False
         if f.kind == NUMLE:
-            return self.term_value(f.terms[0], a) <= self.term_value(f.terms[1], a)
+            return term_value(f.terms[0], a.num, n) <= term_value(f.terms[1], a.num, n)
         if f.kind == NUMSUCC:
-            return self.term_value(f.terms[0], a) + 1 == self.term_value(f.terms[1], a)
+            return term_value(f.terms[0], a.num, n) + 1 == term_value(f.terms[1], a.num, n)
         if f.kind == NUMEQ:
-            return self.term_value(f.terms[0], a) == self.term_value(f.terms[1], a)
+            return term_value(f.terms[0], a.num, n) == term_value(f.terms[1], a.num, n)
         if f.kind == COUNTDOM:
             sub = a.copy()
             count = 0
@@ -373,7 +371,7 @@ class LEvaluator:
                 sub.dom[f.bound_var] = v
                 if self._eval(f.children[0], sub):
                     count += 1
-            return count == self.term_value(f.kappa, a)
+            return count == term_value(f.kappa, a.num, n)
         if f.kind == COUNTNUM:
             sub = a.copy()
             count = 0
@@ -381,7 +379,7 @@ class LEvaluator:
                 sub.num[f.bound_var] = v
                 if self._eval(f.children[0], sub):
                     count += 1
-            return count == self.term_value(f.kappa, a)
+            return count == term_value(f.kappa, a.num, n)
         if f.kind == LREC:
             if not self.allow_lrec:
                 raise NestedLrec("lrec is not allowed in this evaluation")

@@ -179,11 +179,6 @@ class Graph:
         return RelStructure(GRAPH_VOCABULARY, self.n, {"E": sym})
 
 
-def degrees(g: DiGraph, v: int) -> tuple[int, int]:
-    """Return (in-degree, out-degree) of v."""
-    return g.in_degree(v), g.out_degree(v)
-
-
 def reachable_closure(g: DiGraph, root: int) -> set[int]:
     """All vertices reachable from root, including root itself."""
     if not (0 <= root < g.n):

@@ -5,19 +5,14 @@ from lreckit.balancer import (
     DecompNode,
     DecompTree,
     _AwtCache,
+    _candidates,
     build_tree,
     check_tree,
     split_type0,
-    split_type1,
 )
 from lreckit.corpus import generate_corpus
 from lreckit.dagstats import awt_restricted
-from lreckit.errors import (
-    IsLeaf,
-    NotAcyclic,
-    NotRooted,
-    PreconditionViolated,
-)
+from lreckit.errors import IsLeaf, NotAcyclic, NotRooted
 from lreckit.structures import DiGraph, reachable_closure
 
 
@@ -48,24 +43,18 @@ def test_split_type0_bounds():
             assert 2 * awt_restricted(g, b, ()) <= m + 1
 
 
-def test_split_type1_preconditions():
-    cache = _AwtCache(DIAMOND)
-    with pytest.raises(PreconditionViolated):
-        split_type1(DIAMOND, 0, 0, cache)
-    with pytest.raises(PreconditionViolated):
-        split_type1(DIAMOND, 1, 2, cache)
-
-
-def test_split_type1_returns_an_intermediate_vertex():
+def test_type1_candidates_are_intermediate_vertices():
     for g, _ in generate_corpus(22, 8, 80):
         cache = _AwtCache(g)
         for w in sorted(reachable_closure(g, g.root)):
             if w == g.root:
                 continue
-            u = split_type1(g, g.root, w, cache)
-            assert u != w
-            assert u in reachable_closure(g, g.root)
-            assert w in reachable_closure(g, u)
+            candidates = [u for _, u in _candidates(g, g.root, w, cache)]
+            assert g.root in candidates
+            for u in candidates:
+                assert u != w
+                assert u in reachable_closure(g, g.root)
+                assert w in reachable_closure(g, u)
 
 
 def test_build_and_check_on_corpus():

@@ -29,6 +29,9 @@ from lreckit.structures import RelStructure, Vocabulary
 
 VOC = Vocabulary((("E", 2), ("P", 1)))
 VARS = ("x", "y", "z")
+# The interner the generated formulas are built on; the identity checks
+# below need every example to come from one table.
+ITN = Interner()
 
 
 def structures():
@@ -44,22 +47,24 @@ def structures():
 def formulas():
     var = st.sampled_from(VARS)
     atomic = st.one_of(
-        st.booleans().map(mk_bool),
-        st.tuples(var, var).map(lambda p: mk_eq(*p)),
-        st.tuples(var, var).map(lambda p: mk_atom("E", p)),
-        var.map(lambda v: mk_atom("P", (v,))),
+        st.booleans().map(lambda b: mk_bool(b, ITN)),
+        st.tuples(var, var).map(lambda p: mk_eq(*p, ITN)),
+        st.tuples(var, var).map(lambda p: mk_atom("E", p, ITN)),
+        var.map(lambda v: mk_atom("P", (v,), ITN)),
     )
 
     def compound(children):
         return st.one_of(
-            children.map(mk_not),
-            st.lists(children, min_size=1, max_size=3).map(mk_or),
-            st.lists(children, min_size=1, max_size=3).map(mk_and),
-            st.tuples(var, children).map(lambda p: mk_exists(*p)),
-            st.tuples(var, children).map(lambda p: mk_forall(*p)),
+            children.map(lambda c: mk_not(c, ITN)),
+            st.lists(children, min_size=1, max_size=3).map(
+                lambda cs: mk_or(cs, ITN)),
+            st.lists(children, min_size=1, max_size=3).map(
+                lambda cs: mk_and(cs, ITN)),
+            st.tuples(var, children).map(lambda p: mk_exists(*p, ITN)),
+            st.tuples(var, children).map(lambda p: mk_forall(*p, ITN)),
             st.tuples(
                 st.sampled_from((">=", "=", "<=")), st.integers(0, 4), var, children
-            ).map(lambda p: mk_count(*p)),
+            ).map(lambda p: mk_count(*p, ITN)),
         )
 
     return st.recursive(atomic, compound, max_leaves=12)
@@ -79,27 +84,19 @@ def test_recursive_and_table_evaluators_agree(s, f):
     assert Evaluator(s).eval(f, assign) == TableEvaluator(s).eval(f, assign)
 
 
-@settings(max_examples=100)
-@given(structures(), formulas())
-def test_memoized_matches_unmemoized(s, f):
-    assign = {v: 0 for v in VARS}
-    assert eval_formula(s, f, assign, memoize=True) == eval_formula(
-        s, f, assign, memoize=False
-    )
-
-
 @settings(max_examples=150)
 @given(formulas())
 def test_sexpr_round_trip(f):
-    assert parse_sexpr(print_sexpr(f)) is f
+    assert parse_sexpr(print_sexpr(f), ITN) is f
 
 
 @settings(max_examples=100)
 @given(structures(), formulas(), st.integers(0, 3))
 def test_exact_count_is_ge_and_not_ge_succ(s, f, t):
-    exact = mk_count("=", t, "x", f)
+    exact = mk_count("=", t, "x", f, ITN)
     split = mk_and(
-        [mk_count(">=", t, "x", f), mk_not(mk_count(">=", t + 1, "x", f))]
+        [mk_count(">=", t, "x", f, ITN),
+         mk_not(mk_count(">=", t + 1, "x", f, ITN), ITN)], ITN
     )
     assign = {v: 0 for v in VARS}
     assert TableEvaluator(s).eval(exact, assign) == TableEvaluator(s).eval(
@@ -110,82 +107,122 @@ def test_exact_count_is_ge_and_not_ge_succ(s, f, t):
 @settings(max_examples=100)
 @given(formulas(), formulas())
 def test_interning_gives_identity(f, g):
-    again_f = parse_sexpr(print_sexpr(f))
+    again_f = parse_sexpr(print_sexpr(f), ITN)
     assert again_f is f
     if print_sexpr(f) == print_sexpr(g):
         assert f is g
 
 
 def test_interner_isolation():
-    itn = Interner()
-    f = mk_atom("P", ("x",), itn)
-    g = mk_atom("P", ("x",))
+    f = mk_atom("P", ("x",), Interner())
+    g = mk_atom("P", ("x",), Interner())
     assert f is not g
+    assert f.nid != g.nid
     assert print_sexpr(f) == print_sexpr(g)
 
 
+def test_building_without_an_interner_is_a_type_error():
+    with pytest.raises(TypeError):
+        mk_atom("P", ("x",))
+    with pytest.raises(TypeError):
+        parse_sexpr("(atom P x)")
+
+
+def test_intern_keys_do_not_alias_across_interners():
+    # an intern key holds child nids; an atom of another interner must
+    # not make a NOT over it look like the NOT over this interner's atom
+    a = Interner()
+    p = mk_atom("P", ("x",), a)
+    loop = mk_atom("E", ("x", "x"), Interner())
+    assert print_sexpr(mk_not(loop, a)) == "(not (atom E x x))"
+    assert print_sexpr(mk_not(p, a)) == "(not (atom P x))"
+
+
+def test_evaluators_keep_formulas_of_two_interners_apart():
+    # both evaluators memoize on nids; one evaluator may see formulas
+    # built on different interners
+    s = RelStructure(VOC, 1, {"E": frozenset(), "P": frozenset({(0,)})})
+    p = mk_atom("P", ("x",), Interner())
+    loop = mk_atom("E", ("x", "x"), Interner())
+    b = Interner()
+    succ = mk_exists("y", mk_atom("E", ("x", "y"), b), b)
+    for ev in (Evaluator(s), TableEvaluator(s)):
+        assert ev.eval(p, {"x": 0})
+        assert not ev.eval(loop, {"x": 0})
+        assert not ev.eval(succ, {"x": 0})
+
+
 def test_qdepth_and_nvars():
-    inner = mk_atom("E", ("x", "y"))
-    f = mk_exists("x", mk_count(">=", 2, "y", inner))
+    itn = Interner()
+    inner = mk_atom("E", ("x", "y"), itn)
+    f = mk_exists("x", mk_count(">=", 2, "y", inner, itn), itn)
     assert qdepth(inner) == 0
     assert qdepth(f) == 2
     assert nvars(f) == 2
-    g = mk_and([f, mk_atom("P", ("z",))])
+    g = mk_and([f, mk_atom("P", ("z",), itn)], itn)
     assert nvars(g) == 3
 
 
 def test_shadowing_inner_binder_wins():
+    itn = Interner()
     s = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset({(1,)})})
     # exists x (not P(x) and exists x P(x)) -- the inner x is independent
+    p = mk_atom("P", ("x",), itn)
     f = mk_exists(
-        "x", mk_and([mk_not(mk_atom("P", ("x",))), mk_exists("x", mk_atom("P", ("x",)))])
+        "x", mk_and([mk_not(p, itn), mk_exists("x", p, itn)], itn), itn
     )
     assert eval_formula(s, f)
 
 
 def test_dag_smaller_than_tree_when_shared():
-    p = mk_atom("P", ("x",))
-    f = mk_or([mk_and([p, p]), mk_and([p, p])])
+    itn = Interner()
+    p = mk_atom("P", ("x",), itn)
+    f = mk_or([mk_and([p, p], itn), mk_and([p, p], itn)], itn)
     assert dag_size(f) < tree_size(f)
 
 
 def test_boolean_simplifications():
-    p = mk_atom("P", ("x",))
-    assert mk_not(mk_not(p)) is p
-    assert mk_and([p, mk_bool(True)]) is p
-    assert mk_or([p, mk_bool(False)]) is p
-    assert mk_or([p, mk_bool(True)]) is mk_bool(True)
-    assert mk_and([p, mk_bool(False)]) is mk_bool(False)
-    assert mk_count(">=", 0, "x", p) is mk_bool(True)
+    itn = Interner()
+    p = mk_atom("P", ("x",), itn)
+    assert mk_not(mk_not(p, itn), itn) is p
+    assert mk_and([p, mk_bool(True, itn)], itn) is p
+    assert mk_or([p, mk_bool(False, itn)], itn) is p
+    assert mk_or([p, mk_bool(True, itn)], itn) is mk_bool(True, itn)
+    assert mk_and([p, mk_bool(False, itn)], itn) is mk_bool(False, itn)
+    assert mk_count(">=", 0, "x", p, itn) is mk_bool(True, itn)
 
 
 def test_implies():
+    itn = Interner()
     s = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset({(0,), (1,)})})
-    f = mk_forall("x", mk_implies(mk_atom("P", ("x",)), mk_eq("x", "x")))
+    f = mk_forall("x", mk_implies(mk_atom("P", ("x",), itn),
+                                  mk_eq("x", "x", itn), itn), itn)
     assert eval_formula(s, f)
 
 
 def test_unbound_variable_raises():
     s = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset()})
     with pytest.raises(UnboundVariable):
-        eval_formula(s, mk_atom("P", ("x",)), {})
+        eval_formula(s, mk_atom("P", ("x",), Interner()), {})
 
 
 def test_distinguishes_requires_sentence():
+    itn = Interner()
     s = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset()})
     t = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset({(0,)})})
-    sentence = mk_exists("x", mk_atom("P", ("x",)))
+    sentence = mk_exists("x", mk_atom("P", ("x",), itn), itn)
     assert distinguishes(s, t, sentence)
     with pytest.raises(NotASentence):
-        distinguishes(s, t, mk_atom("P", ("x",)))
+        distinguishes(s, t, mk_atom("P", ("x",), itn))
 
 
 def test_parse_errors():
+    itn = Interner()
     with pytest.raises(MalformedInput):
-        parse_sexpr("(frob x)")
+        parse_sexpr("(frob x)", itn)
     with pytest.raises(MalformedInput):
-        parse_sexpr("(count maybe 1 x (bool t))")
+        parse_sexpr("(count maybe 1 x (bool t))", itn)
     with pytest.raises(MalformedInput):
-        parse_sexpr("(eq x)")
+        parse_sexpr("(eq x)", itn)
     with pytest.raises(MalformedInput):
-        parse_sexpr("(bool t) extra")
+        parse_sexpr("(bool t) extra", itn)

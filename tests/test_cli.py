@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,3 +135,28 @@ def test_byte_identical_reruns(files, tmp_path):
     main(["verify", "--n", "3", "--seed", "2", "--count", "3", "--out", out1])
     main(["verify", "--n", "3", "--seed", "2", "--count", "3", "--out", out2])
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+# SHA-256 of the stdout bytes of fixed commands; any change to the JSON a
+# command prints, down to whitespace and key order, changes the digest.
+GOLDEN = [
+    pytest.param(
+        ["compile", "--n", "2", "--i", "1"],
+        "e7f5d186e61fb16f40750789806a7726f24caf65c88383fffb604411d1afc3ce",
+        id="compile-n2-i1"),
+    pytest.param(
+        ["compile", "--n", "3", "--i", "2"],
+        "889e82a2aec156f36644aa73176f3f9f6dfadde20779296f6b5dc9ef099a4df6",
+        id="compile-n3-i2"),
+    pytest.param(
+        ["verify", "--n", "4", "--seed", "7", "--count", "10"],
+        "9f0d4c54639ece8c52ccc3c384d182eb18db7bb45313f0a568e20cd0717b6ce8",
+        id="verify-n4-seed7-count10"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN)
+def test_golden_output_bytes(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest

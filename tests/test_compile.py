@@ -58,10 +58,16 @@ def test_random_instances_agree_with_oracle():
 
 def test_out_of_range_resource_rejected():
     params = CompileParams(3, 1)
+    cache = FormulaCache()
     with pytest.raises(RangeViolation):
-        compile_x_formula(params, 0)
+        compile_x_formula(params, 0, cache=cache)
     with pytest.raises(RangeViolation):
-        compile_x_formula(params, 5)
+        compile_x_formula(params, 5, cache=cache)
+
+
+def test_compiling_without_a_cache_is_a_type_error():
+    with pytest.raises(TypeError):
+        compile_x_formula(CompileParams(3, 1), 1)
 
 
 def test_bounded_variable_count_across_resources():
@@ -75,7 +81,7 @@ def test_bounded_variable_count_across_resources():
 
 
 def test_stats_fields():
-    f = compile_x_formula(CompileParams(2, 1), 1)
+    f = compile_x_formula(CompileParams(2, 1), 1, cache=FormulaCache())
     stats = formula_stats(f)
     assert set(stats) >= {"qd", "nvars", "dag_size", "tree_size"}
     assert stats["qd"] == qdepth(f)
@@ -99,8 +105,9 @@ def test_query_variable_name_is_configurable():
     g, c = fig1_instance()
     s = encode_tau_n(g, c, 3)
     params = CompileParams(3, 1)
-    default = compile_x_formula(params, 1)
-    renamed = compile_x_formula(params, 1, x="q")
+    cache = FormulaCache()
+    default = compile_x_formula(params, 1, cache=cache)
+    renamed = compile_x_formula(params, 1, x="q", cache=cache)
     ev = TableEvaluator(s)
     for v in range(3):
         assert ev.eval(default, {"x": v}) == ev.eval(renamed, {"q": v})

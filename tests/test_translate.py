@@ -53,7 +53,7 @@ def test_zero_resource_translates_to_false():
 
 def test_requires_outermost_lrec():
     with pytest.raises(MalformedInput):
-        translate_lrec_once(parse_lsexpr("(bool t)"), 2, ())
+        translate_lrec_once(parse_lsexpr("(bool t)"), 2, (), CACHE)
 
 
 def test_rejects_nested_lrec():
@@ -62,7 +62,7 @@ def test_rejects_nested_lrec():
         "(lrec (y1) (y2) (i) (eq y1 y2) " + inner + " (num-eq i 0) (x) (k))"
     )
     with pytest.raises(NestedLrec):
-        translate_lrec_once(f, 2, (1,))
+        translate_lrec_once(f, 2, (1,), CACHE)
 
 
 def test_rejects_wide_tuples():
@@ -71,13 +71,13 @@ def test_rejects_wide_tuples():
         "(num-eq i 0) (x1 x2) (k))"
     )
     with pytest.raises(TupleWidthUnsupported):
-        translate_lrec_once(f, 2, (1,))
+        translate_lrec_once(f, 2, (1,), CACHE)
 
 
 def test_resource_arity_checked():
     _, _, _, _, f = BATTERY[0]
     with pytest.raises(ArityMismatch):
-        translate_lrec_once(f, 2, (1, 1))
+        translate_lrec_once(f, 2, (1, 1), CACHE)
 
 
 def test_eliminate_numbers_matches_two_sorted_semantics():
@@ -90,7 +90,7 @@ def test_eliminate_numbers_matches_two_sorted_semantics():
     s = STRUCTURES[3]  # n = 3, P = {0, 2}
     for text, nums in cases:
         lf = parse_lsexpr(text)
-        cf = eliminate_numbers(lf, {"x": "x"}, nums, s.n)
+        cf = eliminate_numbers(lf, {"x": "x"}, nums, s.n, CACHE.interner)
         for v in range(s.n):
             want = eval_fo_c(s, lf, TwoSortedAssignment({"x": v}, nums))
             got = TableEvaluator(s).eval(cf, {"x": v})

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import cycle_graph, disjoint_union, path_graph
-from lreckit.cformula import distinguishes, mk_and, mk_atom, mk_count
+from lreckit.cformula import Interner, distinguishes, mk_and, mk_atom, mk_count
 from lreckit.errors import SizeMismatch, UnsupportedDimension
 from lreckit.structures import Graph
 from lreckit.wl import distinguish, initial_coloring, refine_to_stable
@@ -62,31 +62,34 @@ def test_initial_coloring_classes():
     assert len(set(col2.colors.values())) == 3
 
 
-def degree_sentence(c, d):
+def degree_sentence(c, d, itn):
     """At least c vertices with at least d neighbours: depth 2, 2 vars."""
-    return mk_count(">=", c, "x", mk_count(">=", d, "y", mk_atom("E", ("x", "y"))))
+    return mk_count(">=", c, "x", mk_count(
+        ">=", d, "y", mk_atom("E", ("x", "y"), itn), itn), itn)
 
 
-def neighbour_degree_sentence(c, d, e):
+def neighbour_degree_sentence(c, d, e, itn):
     """Depth-3 refinement: c vertices with >= d neighbours that each have
     >= e neighbours; still two variables, reusing x inside."""
     inner = mk_and(
         [
-            mk_atom("E", ("x", "y")),
-            mk_count(">=", e, "x", mk_atom("E", ("y", "x"))),
-        ]
+            mk_atom("E", ("x", "y"), itn),
+            mk_count(">=", e, "x", mk_atom("E", ("y", "x"), itn), itn),
+        ],
+        itn,
     )
-    return mk_count(">=", c, "x", mk_count(">=", d, "y", inner))
+    return mk_count(">=", c, "x", mk_count(">=", d, "y", inner, itn), itn)
 
 
 def two_variable_library(n):
+    itn = Interner()
     for c in range(1, n + 1):
         for d in range(1, n):
-            yield 2, degree_sentence(c, d)
+            yield 2, degree_sentence(c, d, itn)
     for c in range(1, n + 1):
         for d in range(1, 4):
             for e in range(1, 4):
-                yield 3, neighbour_degree_sentence(c, d, e)
+                yield 3, neighbour_degree_sentence(c, d, e, itn)
 
 
 def random_graph(rng, n):
