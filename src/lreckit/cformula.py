@@ -13,6 +13,7 @@ import threading
 from typing import Iterable
 
 from .errors import (
+    IdOutOfRange,
     MalformedInput,
     NotASentence,
     RangeViolation,
@@ -252,6 +253,18 @@ def _compare(count: int, mode: str, threshold: int) -> bool:
     return count == threshold
 
 
+def _checked_assignment(f: CFormula, assignment: dict | None, n: int) -> dict:
+    """Check that `assignment` binds f's free variables to ids in [0, n)."""
+    assignment = assignment or {}
+    missing = f.free_vars - assignment.keys()
+    if missing:
+        raise UnboundVariable(f"unassigned variables: {sorted(missing)}")
+    for name, value in assignment.items():
+        if type(value) is not int or not 0 <= value < n:
+            raise IdOutOfRange(f"{name}={value!r} is not an id in [0, {n})")
+    return assignment
+
+
 class Evaluator:
     """Memoizing model checker for one structure.
 
@@ -264,11 +277,7 @@ class Evaluator:
         self._memo: dict[tuple, bool] = {}
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:
-        assignment = assignment or {}
-        missing = f.free_vars - assignment.keys()
-        if missing:
-            raise UnboundVariable(f"unassigned variables: {sorted(missing)}")
-        return self._eval(f, assignment)
+        return self._eval(f, _checked_assignment(f, assignment, self.structure.n))
 
     def _eval(self, f: CFormula, a: dict[str, int]) -> bool:
         if f.kind == BOOL:
@@ -313,75 +322,62 @@ def eval_formula(s: RelStructure, f: CFormula,
 
 
 class TableEvaluator:
-    """Bottom-up model checker: one truth table per interned node.
+    """Bottom-up model checker: one flat truth table per interned node.
 
-    Each DAG node is processed once, producing a table over assignments of
-    its free variables; sharing across queries (different assignments,
-    different roots over a common sub-DAG) is free. Much faster than the
-    recursive evaluator on the large compiled families.
+    A table lists the node's value under each assignment of its sorted
+    free variables in row-major order, n**k cells for k variables. Each
+    DAG node is processed once; sharing across queries (different
+    assignments, different roots over a common sub-DAG) is free.
     """
 
     def __init__(self, structure: RelStructure):
         self.structure = structure
-        self._memo: dict[int, tuple[tuple[str, ...], dict]] = {}
+        self._memo: dict[int, tuple[tuple[str, ...], list[bool]]] = {}
+        self._index: dict[tuple, list[int]] = {}
 
-    def table(self, f: CFormula) -> tuple[tuple[str, ...], dict]:
+    def _reindex(self, cv: tuple, table: list, fv: tuple) -> list:
+        """Read `table`, over the variables `cv`, as a table over `fv` (a
+        superset). A repeated variable adds the weights of its positions."""
+        if cv == fv:
+            return table
+        idx = self._index.get((cv, fv))
+        if idx is None:
+            n = self.structure.n
+            idx = [0]
+            for v in fv:
+                w = sum(n ** p for p, u in enumerate(reversed(cv)) if u == v)
+                idx = [i + w * d for i in idx for d in range(n)]
+            self._index[(cv, fv)] = idx
+        return [table[i] for i in idx]
+
+    def table(self, f: CFormula) -> tuple[tuple[str, ...], list[bool]]:
         cached = self._memo.get(f.nid)
         if cached is not None:
             return cached
         s = self.structure
         n = s.n
         fv = tuple(sorted(f.free_vars))
-        if f.kind in (BOOL, EQ, ATOM):
-            if f.kind == ATOM and f.symbol not in s.vocabulary:
+        if f.kind == BOOL:
+            tbl = [f.value]
+        elif f.kind == EQ:
+            cells = [a == b for a in range(n) for b in range(n)]
+            tbl = self._reindex(f.vars, cells, fv)
+        elif f.kind == ATOM:
+            if f.symbol not in s.vocabulary:
                 raise UnknownSymbol(f.symbol)
-            rel = s.rel(f.symbol) if f.kind == ATOM else None
-            tbl = {}
-            for assign in itertools.product(range(n), repeat=len(fv)):
-                a = dict(zip(fv, assign))
-                if f.kind == BOOL:
-                    tbl[assign] = f.value
-                elif f.kind == EQ:
-                    tbl[assign] = a[f.vars[0]] == a[f.vars[1]]
-                else:
-                    tbl[assign] = tuple(a[v] for v in f.vars) in rel
+            rel = s.rel(f.symbol)
+            cells = [t in rel
+                     for t in itertools.product(range(n), repeat=len(f.vars))]
+            tbl = self._reindex(f.vars, cells, fv)
         elif f.kind == NOT:
-            _, ct = self.table(f.children[0])
-            tbl = {k: not v for k, v in ct.items()}
+            tbl = [not v for v in self.table(f.children[0])[1]]
         elif f.kind in (OR, AND):
-            subs = [self.table(c) for c in f.children]
-            pos = [tuple(fv.index(v) for v in cv) for cv, _ in subs]
-            want = f.kind == OR
-            tbl = {}
-            for assign in itertools.product(range(n), repeat=len(fv)):
-                out = not want
-                for (_, ct), ps in zip(subs, pos):
-                    if ct[tuple(assign[p] for p in ps)] == want:
-                        out = want
-                        break
-                tbl[assign] = out
+            subs = [self._reindex(*self.table(c), fv) for c in f.children]
+            tbl = list(map(any if f.kind == OR else all, zip(*subs)))
         elif f.kind == COUNT:
-            cv, ct = self.table(f.children[0])
-            bound = f.bound_var
-            tbl = {}
-            if bound not in cv:
-                pos = tuple(fv.index(v) for v in cv)
-                for assign in itertools.product(range(n), repeat=len(fv)):
-                    count = n if ct[tuple(assign[p] for p in pos)] else 0
-                    tbl[assign] = _compare(count, f.mode, f.threshold)
-            else:
-                bidx = cv.index(bound)
-                pos = tuple(
-                    -1 if v == bound else fv.index(v) for v in cv
-                )
-                for assign in itertools.product(range(n), repeat=len(fv)):
-                    count = 0
-                    proj = [assign[p] if p >= 0 else 0 for p in pos]
-                    for b in range(n):
-                        proj[bidx] = b
-                        if ct[tuple(proj)]:
-                            count += 1
-                    tbl[assign] = _compare(count, f.mode, f.threshold)
+            t = self._reindex(*self.table(f.children[0]), fv + (f.bound_var,))
+            tbl = [_compare(sum(t[i:i + n]), f.mode, f.threshold)
+                   for i in range(0, len(t), n)]
         else:
             raise AssertionError(f.kind)
         result = (fv, tbl)
@@ -389,12 +385,11 @@ class TableEvaluator:
         return result
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:
-        assignment = assignment or {}
-        missing = f.free_vars - assignment.keys()
-        if missing:
-            raise UnboundVariable(f"unassigned variables: {sorted(missing)}")
+        n = self.structure.n
+        assignment = _checked_assignment(f, assignment, n)
         fv, tbl = self.table(f)
-        return tbl[tuple(assignment[v] for v in fv)]
+        return tbl[sum(assignment[v] * n ** p
+                       for p, v in enumerate(reversed(fv)))]
 
 
 def distinguishes(g: RelStructure, h: RelStructure, f: CFormula) -> bool:

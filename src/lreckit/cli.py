@@ -13,7 +13,7 @@ import sys
 
 from . import balancer, compile as compiler, corpus, dagstats, intervals, wl
 from .cformula import Interner, TableEvaluator, parse_sexpr, print_sexpr
-from .errors import LreckitError
+from .errors import LreckitError, MalformedInput
 from .lformula import TwoSortedAssignment, eval_lrec, parse_lsexpr
 from .structures import parse_digraph, parse_graph, parse_structure
 from .xfix import XInstance, compute_X, encode_tau_n, parse_cardinality
@@ -22,6 +22,17 @@ from .xfix import XInstance, compute_X, encode_tau_n, parse_cardinality
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _assignment(text: str | None) -> dict:
+    """The JSON object given to --assign; {} when the option is absent."""
+    try:
+        doc = json.loads(text) if text else {}
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"--assign is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedInput("--assign must be a JSON object")
+    return doc
 
 
 def _emit(doc, out: str | None) -> None:
@@ -43,8 +54,7 @@ def cmd_eval(args) -> int:
     s = parse_structure(_read(args.structure))
     f = parse_sexpr(args.sexpr if args.sexpr else _read(args.formula),
                     Interner())
-    assign = json.loads(args.assign) if args.assign else {}
-    result = TableEvaluator(s).eval(f, assign)
+    result = TableEvaluator(s).eval(f, _assignment(args.assign))
     _emit({"result": result}, args.out)
     return 0
 
@@ -52,7 +62,7 @@ def cmd_eval(args) -> int:
 def cmd_lrec_eval(args) -> int:
     s = parse_structure(_read(args.structure))
     f = parse_lsexpr(args.sexpr if args.sexpr else _read(args.formula))
-    raw = json.loads(args.assign) if args.assign else {}
+    raw = _assignment(args.assign)
     a = TwoSortedAssignment(dict(raw.get("dom", {})), dict(raw.get("num", {})))
     _emit({"result": eval_lrec(s, f, a)}, args.out)
     return 0

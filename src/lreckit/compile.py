@@ -464,38 +464,22 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
     y1, y2, xvar = f.y1[0], f.y2[0], f.xs[0]
     s1, s2 = SUBST_VARS
 
-    psi_eq_cache: dict[tuple[str, str], CFormula] = {}
-    psi_edge_cache: dict[tuple[str, str], CFormula] = {}
-    psi_card_cache: dict[tuple[str, tuple[int, ...]], CFormula] = {}
+    psi_memo: dict[tuple, CFormula] = {}
 
-    def psi_eq(a: str, b: str) -> CFormula:
-        hit = psi_eq_cache.get((a, b))
+    def psi(sub: LFormula, *dom: str, ivals: tuple[int, ...] = ()) -> CFormula:
+        # sub with (y1, y2) renamed to dom and the iotas set to ivals
+        key = (sub, dom, ivals)
+        hit = psi_memo.get(key)
         if hit is None:
             hit = eliminate_numbers(
-                eq_f, {y1: a, y2: b, xvar: QUERY_VAR}, kappa_map, n, itn)
-            psi_eq_cache[(a, b)] = hit
-        return hit
-
-    def psi_edge(a: str, b: str) -> CFormula:
-        hit = psi_edge_cache.get((a, b))
-        if hit is None:
-            hit = eliminate_numbers(
-                edge_f, {y1: a, y2: b, xvar: QUERY_VAR}, kappa_map, n, itn)
-            psi_edge_cache[(a, b)] = hit
-        return hit
-
-    def psi_card(a: str, ivals: tuple[int, ...]) -> CFormula:
-        hit = psi_card_cache.get((a, ivals))
-        if hit is None:
-            hit = eliminate_numbers(
-                card_f, {y1: a, xvar: QUERY_VAR},
+                sub, {**dict(zip((y1, y2), dom)), xvar: QUERY_VAR},
                 {**kappa_map, **dict(zip(f.iotas, ivals))}, n, itn)
-            psi_card_cache[(a, ivals)] = hit
+            psi_memo[key] = hit
         return hit
 
     def size_test(s: int, z: str) -> CFormula:
         # "the class of z has exactly s members"
-        return mk_count(EQN, s, s1, psi_eq(s1, z), itn)
+        return mk_count(EQN, s, s1, psi(eq_f, s1, z), itn)
 
     params = CompileParams(n, len(f.kappas))
     phi_x = compile_x_formula(params, resource, QUERY_VAR, cache=cache)
@@ -510,24 +494,24 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
         if kind == "bool":
             out = node
         elif kind == "eq":
-            out = psi_eq(node.vars[0], node.vars[1])
+            out = psi(eq_f, *node.vars)
         elif kind == "atom":
             if node.symbol == "E":
                 a, b = node.vars
-                out = mk_exists(s1, mk_exists(s2, mk_and([
-                    psi_eq(s1, a), psi_eq(s2, b), psi_edge(s1, s2)], itn),
-                    itn), itn)
+                out = mk_exists(s1, mk_exists(s2, mk_and(
+                    [psi(eq_f, s1, a), psi(eq_f, s2, b), psi(edge_f, s1, s2)],
+                    itn), itn), itn)
             elif node.symbol.startswith("P"):
                 label = int(node.symbol[1:])
                 (a,) = node.vars
                 width = len(f.iotas)
                 variants = [
-                    psi_card(s1, ivals)
+                    psi(card_f, s1, ivals=ivals)
                     for ivals in itertools.product(range(n + 1), repeat=width)
                     if decode_number(ivals, n) == label
                 ]
                 out = mk_exists(s1, mk_and(
-                    [psi_eq(s1, a), mk_or(variants, itn)], itn), itn)
+                    [psi(eq_f, s1, a), mk_or(variants, itn)], itn), itn)
             else:
                 raise MalformedInput(f"unexpected symbol {node.symbol!r}")
         elif kind == "not":

@@ -19,7 +19,6 @@ from .errors import (
     ArityMismatch,
     ComponentOutOfRange,
     MalformedInput,
-    NestedLrec,
     RangeViolation,
     SizeExceeded,
     UnboundVariable,
@@ -295,9 +294,8 @@ def term_value(term: tuple, num: dict[str, int], n: int) -> int:
 class LEvaluator:
     """Memoizing two-sorted model checker; handles lrec recursively."""
 
-    def __init__(self, structure: RelStructure, allow_lrec: bool = True):
+    def __init__(self, structure: RelStructure):
         self.structure = structure
-        self.allow_lrec = allow_lrec
         self._memo: dict[tuple, bool] = {}
 
     def eval(self, f: LFormula, a: TwoSortedAssignment | None = None) -> bool:
@@ -381,8 +379,6 @@ class LEvaluator:
                     count += 1
             return count == term_value(f.kappa, a.num, n)
         if f.kind == LREC:
-            if not self.allow_lrec:
-                raise NestedLrec("lrec is not allowed in this evaluation")
             return self._eval_lrec(f, a)
         raise AssertionError(f.kind)
 
@@ -492,7 +488,7 @@ def eval_fo_c(s: RelStructure, f: LFormula,
     """Evaluate a recursion-free formula under the two-sorted semantics."""
     if f.contains_lrec():
         raise MalformedInput("eval_fo_c requires a formula without lrec")
-    return LEvaluator(s, allow_lrec=False).eval(f, a)
+    return LEvaluator(s).eval(f, a)
 
 
 def eval_lrec(s: RelStructure, f: LFormula,

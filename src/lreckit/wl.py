@@ -26,12 +26,6 @@ class Coloring:
     colors: dict[tuple[int, ...], int]
     history: list[int] = field(default_factory=list)  # class counts per round
 
-    def class_sizes(self) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for c in self.colors.values():
-            counts[c] = counts.get(c, 0) + 1
-        return tuple(sorted(counts.values()))
-
     def num_classes(self) -> int:
         return len(set(self.colors.values()))
 

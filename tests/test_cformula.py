@@ -24,10 +24,15 @@ from lreckit.cformula import (
     qdepth,
     tree_size,
 )
-from lreckit.errors import MalformedInput, NotASentence, UnboundVariable
+from lreckit.errors import (
+    IdOutOfRange,
+    MalformedInput,
+    NotASentence,
+    UnboundVariable,
+)
 from lreckit.structures import RelStructure, Vocabulary
 
-VOC = Vocabulary((("E", 2), ("P", 1)))
+VOC = Vocabulary((("E", 2), ("P", 1), ("R", 3)))
 VARS = ("x", "y", "z")
 # The interner the generated formulas are built on; the identity checks
 # below need every example to come from one table.
@@ -37,9 +42,10 @@ ITN = Interner()
 def structures():
     return st.integers(1, 4).flatmap(
         lambda n: st.builds(
-            lambda e, p: RelStructure(VOC, n, {"E": e, "P": p}),
+            lambda e, p, r: RelStructure(VOC, n, {"E": e, "P": p, "R": r}),
             st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
             st.frozensets(st.tuples(st.integers(0, n - 1))),
+            st.frozensets(st.tuples(*[st.integers(0, n - 1)] * 3)),
         )
     )
 
@@ -51,6 +57,8 @@ def formulas():
         st.tuples(var, var).map(lambda p: mk_eq(*p, ITN)),
         st.tuples(var, var).map(lambda p: mk_atom("E", p, ITN)),
         var.map(lambda v: mk_atom("P", (v,), ITN)),
+        # unsorted and repeated variables, such as R(z, x, z)
+        st.tuples(var, var, var).map(lambda t: mk_atom("R", t, ITN)),
     )
 
     def compound(children):
@@ -204,6 +212,22 @@ def test_unbound_variable_raises():
     s = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset()})
     with pytest.raises(UnboundVariable):
         eval_formula(s, mk_atom("P", ("x",), Interner()), {})
+    with pytest.raises(UnboundVariable):
+        TableEvaluator(s).eval(mk_atom("P", ("x",), Interner()), {})
+
+
+@pytest.mark.parametrize("assign", [
+    {"x": 0, "y": 7}, {"x": -1, "y": 0}, {"x": 0, "y": "1"}, {"x": 0, "y": 1.0},
+    {"x": True, "y": 0}, {"x": 0, "y": 0, "unused": 4},
+])
+def test_evaluators_refuse_ids_out_of_range(assign):
+    # on an n=4 flat table, (x, y) = (0, 7) would read the cell of the
+    # edge (1, 3)
+    s = RelStructure(VOC, 4, {"E": frozenset({(1, 3)})})
+    f = mk_atom("E", ("x", "y"), Interner())
+    for ev in (Evaluator(s), TableEvaluator(s)):
+        with pytest.raises(IdOutOfRange):
+            ev.eval(f, assign)
 
 
 def test_distinguishes_requires_sentence():

@@ -130,6 +130,30 @@ def test_error_is_machine_readable(files, tmp_path, capsys):
     assert err["error"] == "MalformedInput"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "one.json", "--sexpr", "(atom P x)", "--assign", '{"x": 7}'],
+     "IdOutOfRange"),
+    (["eval", "one.json", "--sexpr", "(atom P x)", "--assign", "{bad"],
+     "MalformedInput"),
+    (["eval", "one.json", "--sexpr", "(atom P x)", "--assign", "[1]"],
+     "MalformedInput"),
+    (["lrec-eval", "one.json", "--sexpr", "(atom P x)", "--assign", "{bad"],
+     "MalformedInput"),
+    (["lrec-eval", "one.json", "--sexpr", "(atom P x)", "--assign", "[1]"],
+     "MalformedInput"),
+])
+def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
+                                                    capsys):
+    one = tmp_path / "one.json"
+    one.write_text('{"n": 1, "rels": {"P": [[0]]}}')
+    argv = [str(one) if a == "one.json" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == error and set(err) == {"error", "message"}
+
+
 def test_byte_identical_reruns(files, tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     main(["verify", "--n", "3", "--seed", "2", "--count", "3", "--out", out1])

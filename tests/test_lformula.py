@@ -3,7 +3,6 @@ import pytest
 from helpers import fig1_instance
 from lreckit.errors import (
     MalformedInput,
-    NestedLrec,
     RangeViolation,
     UnboundVariable,
 )
@@ -91,17 +90,6 @@ def test_unbound_and_nested_errors():
                 "(lrec (y1) (y2) (i) (eq y1 y2) (atom E y1 y2) "
                 "(num-eq i 0) (x) (k))"
             ),
-        )
-    with pytest.raises(NestedLrec):
-        # the recursion-free evaluator refuses lrec outright
-        from lreckit.lformula import LEvaluator
-
-        LEvaluator(s, allow_lrec=False).eval(
-            parse_lsexpr(
-                "(lrec (y1) (y2) (i) (eq y1 y2) (atom E y1 y2) "
-                "(num-eq i 0) (x) (k))"
-            ),
-            TwoSortedAssignment({"x": 0}, {"k": 1}),
         )
 
 
