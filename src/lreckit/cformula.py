@@ -449,6 +449,14 @@ def parse_sexpr_data(text: str):
     return data
 
 
+def _names(data, what: str) -> tuple[str, ...]:
+    """data as a tuple of names; MalformedInput unless it is a list of
+    strings, so a list never lands in a variable or symbol slot."""
+    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
+        raise MalformedInput(f"{what}: expected names, got {data!r}")
+    return tuple(data)
+
+
 def formula_from_data(data, interner: Interner) -> CFormula:
     if not isinstance(data, list) or not data:
         raise MalformedInput(f"expected a list form, got {data!r}")
@@ -460,11 +468,12 @@ def formula_from_data(data, interner: Interner) -> CFormula:
     if head == "eq":
         if len(data) != 3:
             raise MalformedInput("(eq x y)")
-        return mk_eq(data[1], data[2], interner)
+        return mk_eq(*_names(data[1:], "(eq x y)"), interner)
     if head == "atom":
         if len(data) < 3:
             raise MalformedInput("(atom SYM x...)")
-        return mk_atom(data[1], data[2:], interner)
+        symbol, *vars = _names(data[1:], "(atom SYM x...)")
+        return mk_atom(symbol, vars, interner)
     if head == "not":
         if len(data) != 2:
             raise MalformedInput("(not f)")
@@ -475,10 +484,11 @@ def formula_from_data(data, interner: Interner) -> CFormula:
     if head == "count":
         if len(data) != 5:
             raise MalformedInput("(count MODE N x f)")
-        mode, threshold, var = data[1], data[2], data[3]
+        mode, threshold = data[1], data[2]
+        (var,) = _names(data[3:4], "(count MODE N x f)")
         try:
             threshold = int(threshold)
-        except ValueError:
+        except (TypeError, ValueError):
             raise MalformedInput(f"bad threshold {threshold!r}") from None
         return mk_count(mode, threshold, var,
                         formula_from_data(data[4], interner), interner)

@@ -13,15 +13,23 @@ import sys
 
 from . import balancer, compile as compiler, corpus, dagstats, intervals, wl
 from .cformula import Interner, TableEvaluator, parse_sexpr, print_sexpr
-from .errors import LreckitError, MalformedInput
+from .errors import LreckitError, MalformedInput, SizeExceeded
 from .lformula import TwoSortedAssignment, eval_lrec, parse_lsexpr
 from .structures import parse_digraph, parse_graph, parse_structure
 from .xfix import XInstance, compute_X, encode_tau_n, parse_cardinality
 
 
+# compile refuses to print a formula whose expanded tree is larger: the
+# printer writes every node of the tree, so output grows with tree_size.
+MAX_PRINTED_NODES = 20_000_000
+
+
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"cannot read {path!r}: {exc}") from None
 
 
 def _assignment(text: str | None) -> dict:
@@ -63,7 +71,10 @@ def cmd_lrec_eval(args) -> int:
     s = parse_structure(_read(args.structure))
     f = parse_lsexpr(args.sexpr if args.sexpr else _read(args.formula))
     raw = _assignment(args.assign)
-    a = TwoSortedAssignment(dict(raw.get("dom", {})), dict(raw.get("num", {})))
+    dom, num = raw.get("dom", {}), raw.get("num", {})
+    if not isinstance(dom, dict) or not isinstance(num, dict):
+        raise MalformedInput('--assign "dom" and "num" must be JSON objects')
+    a = TwoSortedAssignment(dom, num)
     _emit({"result": eval_lrec(s, f, a)}, args.out)
     return 0
 
@@ -85,10 +96,12 @@ def cmd_compile(args) -> int:
     params = compiler.CompileParams(args.n, args.r)
     f = compiler.compile_x_formula(params, args.i,
                                    cache=compiler.FormulaCache())
-    doc = {
-        "formula": print_sexpr(f),
-        "stats": {**compiler.formula_stats(f), "H": params.H},
-    }
+    stats = compiler.formula_stats(f)
+    if stats["tree_size"] > MAX_PRINTED_NODES:
+        raise SizeExceeded(
+            f"the formula expands to {stats['tree_size']} nodes when printed;"
+            f" at most {MAX_PRINTED_NODES} are printed")
+    doc = {"formula": print_sexpr(f), "stats": {**stats, "H": params.H}}
     _emit(doc, args.out)
     return 0
 

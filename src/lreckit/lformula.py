@@ -14,10 +14,11 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .cformula import parse_sexpr_data
+from .cformula import _names, parse_sexpr_data
 from .errors import (
     ArityMismatch,
     ComponentOutOfRange,
+    IdOutOfRange,
     MalformedInput,
     RangeViolation,
     SizeExceeded,
@@ -49,26 +50,12 @@ MAX_TUPLE_WIDTH = 3
 # Number terms: ("var", name) | ("lit", value) | ("min",) | ("max",)
 
 
-def num_var(name: str) -> tuple:
-    return ("var", name)
-
-
-def num_lit(value: int) -> tuple:
-    if value < 0:
-        raise RangeViolation(f"number literal {value} is negative")
-    return ("lit", value)
-
-
-NUM_MIN = ("min",)
-NUM_MAX = ("max",)
-
-
 def _term_free(term: tuple) -> frozenset[str]:
     return frozenset((term[1],)) if term[0] == "var" else frozenset()
 
 
 class LFormula:
-    """One AST node (a tree, not interned). Build via the mk_l* helpers."""
+    """One AST node (a tree, not interned), built by parse_lsexpr."""
 
     __slots__ = ("kind", "value", "vars", "symbol", "children", "bound_var",
                  "terms", "kappa", "y1", "y2", "iotas", "xs", "kappas",
@@ -156,68 +143,6 @@ class LFormula:
         return f"<LFormula {print_lsexpr(self)}>"
 
 
-def mk_lbool(value: bool) -> LFormula:
-    return LFormula(LBOOL, value=bool(value))
-
-
-def mk_leq(x: str, y: str) -> LFormula:
-    return LFormula(LEQ, vars=(x, y))
-
-
-def mk_latom(symbol: str, vars) -> LFormula:
-    return LFormula(LATOM, symbol=symbol, vars=tuple(vars))
-
-
-def mk_lnot(child: LFormula) -> LFormula:
-    return LFormula(LNOT, children=(child,))
-
-
-def mk_lor(children) -> LFormula:
-    return LFormula(LOR, children=tuple(children))
-
-
-def mk_land(children) -> LFormula:
-    return LFormula(LAND, children=tuple(children))
-
-
-def mk_lexists(var: str, child: LFormula) -> LFormula:
-    return LFormula(LEXISTS, bound_var=var, children=(child,))
-
-
-def mk_lforall(var: str, child: LFormula) -> LFormula:
-    return mk_lnot(mk_lexists(var, mk_lnot(child)))
-
-
-def mk_num_exists(var: str, child: LFormula) -> LFormula:
-    return LFormula(NUMEXISTS, bound_var=var, children=(child,))
-
-
-def mk_num_le(t1, t2) -> LFormula:
-    return LFormula(NUMLE, terms=(t1, t2))
-
-
-def mk_num_succ(t1, t2) -> LFormula:
-    return LFormula(NUMSUCC, terms=(t1, t2))
-
-
-def mk_num_eq(t1, t2) -> LFormula:
-    return LFormula(NUMEQ, terms=(t1, t2))
-
-
-def mk_count_dom(var: str, child: LFormula, kappa) -> LFormula:
-    return LFormula(COUNTDOM, bound_var=var, children=(child,), kappa=kappa)
-
-
-def mk_count_num(var: str, child: LFormula, kappa) -> LFormula:
-    return LFormula(COUNTNUM, bound_var=var, children=(child,), kappa=kappa)
-
-
-def mk_lrec(y1, y2, iotas, eq_f: LFormula, edge_f: LFormula, card_f: LFormula,
-            xs, kappas) -> LFormula:
-    return LFormula(LREC, children=(eq_f, edge_f, card_f),
-                    y1=y1, y2=y2, iotas=iotas, xs=xs, kappas=kappas)
-
-
 @dataclass
 class TwoSortedAssignment:
     """Domain-variable and number-variable maps (numbers range over 0..n)."""
@@ -262,16 +187,6 @@ class QuotientGraph:
                 return idx
         raise MalformedInput(f"tuple {tup} is not a vertex of the quotient")
 
-    def export(self) -> tuple[DiGraph, CardinalityCondition]:
-        g = DiGraph(len(self.classes), self.edges)
-        mapping = {idx: set(label) for idx, label in enumerate(self.labels)}
-        with warnings.catch_warnings():
-            # labels above the out-degree are unattainable but harmless;
-            # keeping them does not change X
-            warnings.simplefilter("ignore")
-            cond = CardinalityCondition.from_dict(g, mapping)
-        return g, cond
-
 
 def term_value(term: tuple, num: dict[str, int], n: int) -> int:
     """Value of a number term under the number assignment num, on a
@@ -299,11 +214,18 @@ class LEvaluator:
         self._memo: dict[tuple, bool] = {}
 
     def eval(self, f: LFormula, a: TwoSortedAssignment | None = None) -> bool:
+        """Truth of f under a. Raises IdOutOfRange for a domain value that
+        is not an int in [0, n), RangeViolation for a number value that is
+        not an int in [0, n], and UnboundVariable for a free variable of f
+        that a leaves unassigned."""
         a = a or TwoSortedAssignment()
         n = self.structure.n
+        for name, value in a.dom.items():
+            if type(value) is not int or not 0 <= value < n:
+                raise IdOutOfRange(f"{name}={value!r} is not an id in [0, {n})")
         for name, value in a.num.items():
-            if not (0 <= value <= n):
-                raise RangeViolation(f"number {name}={value} not in [0, {n}]")
+            if type(value) is not int or not 0 <= value <= n:
+                raise RangeViolation(f"number {name}={value!r} not in [0, {n}]")
         missing_d = f.dom_free - a.dom.keys()
         missing_n = f.num_free - a.num.keys()
         if missing_d or missing_n:
@@ -313,8 +235,10 @@ class LEvaluator:
         return self._eval(f, a)
 
     def _eval(self, f: LFormula, a: TwoSortedAssignment) -> bool:
+        # Keyed on the node itself (identity hash): the memo keeps f alive,
+        # so a later node can never take over its key.
         key = (
-            id(f),
+            f,
             tuple(sorted((v, a.dom[v]) for v in f.dom_free)),
             tuple(sorted((v, a.num[v]) for v in f.num_free)),
         )
@@ -324,6 +248,18 @@ class LEvaluator:
         result = self._eval_inner(f, a)
         self._memo[key] = result
         return result
+
+    def _bodies(self, f: LFormula, a: TwoSortedAssignment):
+        """The value of f's body for each value of its bound variable:
+        over the domain [0, n) or over the numbers [0, n]."""
+        sub = a.copy()
+        if f.kind in (LEXISTS, COUNTDOM):
+            values, top = sub.dom, self.structure.n
+        else:
+            values, top = sub.num, self.structure.n + 1
+        for v in range(top):
+            values[f.bound_var] = v
+            yield self._eval(f.children[0], sub)
 
     def _eval_inner(self, f: LFormula, a: TwoSortedAssignment) -> bool:
         s = self.structure
@@ -342,49 +278,23 @@ class LEvaluator:
             return any(self._eval(c, a) for c in f.children)
         if f.kind == LAND:
             return all(self._eval(c, a) for c in f.children)
-        if f.kind == LEXISTS:
-            sub = a.copy()
-            for v in range(n):
-                sub.dom[f.bound_var] = v
-                if self._eval(f.children[0], sub):
-                    return True
-            return False
-        if f.kind == NUMEXISTS:
-            sub = a.copy()
-            for v in range(n + 1):
-                sub.num[f.bound_var] = v
-                if self._eval(f.children[0], sub):
-                    return True
-            return False
+        if f.kind in (LEXISTS, NUMEXISTS):
+            return any(self._bodies(f, a))
+        if f.kind in (COUNTDOM, COUNTNUM):
+            return sum(self._bodies(f, a)) == term_value(f.kappa, a.num, n)
         if f.kind == NUMLE:
             return term_value(f.terms[0], a.num, n) <= term_value(f.terms[1], a.num, n)
         if f.kind == NUMSUCC:
             return term_value(f.terms[0], a.num, n) + 1 == term_value(f.terms[1], a.num, n)
         if f.kind == NUMEQ:
             return term_value(f.terms[0], a.num, n) == term_value(f.terms[1], a.num, n)
-        if f.kind == COUNTDOM:
-            sub = a.copy()
-            count = 0
-            for v in range(n):
-                sub.dom[f.bound_var] = v
-                if self._eval(f.children[0], sub):
-                    count += 1
-            return count == term_value(f.kappa, a.num, n)
-        if f.kind == COUNTNUM:
-            sub = a.copy()
-            count = 0
-            for v in range(n + 1):
-                sub.num[f.bound_var] = v
-                if self._eval(f.children[0], sub):
-                    count += 1
-            return count == term_value(f.kappa, a.num, n)
         if f.kind == LREC:
             return self._eval_lrec(f, a)
         raise AssertionError(f.kind)
 
     def _eval_lrec(self, f: LFormula, a: TwoSortedAssignment) -> bool:
         eq_f, edge_f, card_f = f.children
-        quotient = build_quotient(
+        q = build_quotient(
             self.structure, a, len(f.y1), eq_f, edge_f, card_f, f.iotas,
             f.y1, f.y2,
         )
@@ -392,10 +302,13 @@ class LEvaluator:
         resource = decode_number(
             tuple(a.num[v] for v in f.kappas), self.structure.n
         )
-        g, c = quotient.export()
         if resource < 1:
             return False
-        return compute_X(XInstance(g, c), quotient.class_of(xtuple), resource)
+        # Labels above a class's out-degree are unattainable but harmless;
+        # keeping them does not change X.
+        inst = XInstance(DiGraph(len(q.classes), q.edges),
+                         CardinalityCondition(q.labels))
+        return compute_X(inst, q.class_of(xtuple), resource)
 
 
 def build_quotient(s: RelStructure, a: TwoSortedAssignment, k: int,
@@ -442,14 +355,6 @@ def build_quotient(s: RelStructure, a: TwoSortedAssignment, k: int,
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    closed = {
-        (u, v) for u in verts for v in verts if find(u) == find(v)
-    }
-    if closed != raw:
-        warnings.warn(
-            "equivalence formula was not an equivalence relation; "
-            "its reflexive-symmetric-transitive closure is used"
-        )
 
     groups: dict[tuple, list] = {}
     for u in verts:
@@ -458,6 +363,14 @@ def build_quotient(s: RelStructure, a: TwoSortedAssignment, k: int,
         tuple(sorted(members))
         for members in sorted(groups.values(), key=lambda ms: min(ms))
     )
+    # raw is a subset of its closure, which holds len(cls)**2 pairs per
+    # class; so the two differ exactly when their sizes do.
+    closure_changed = len(raw) != sum(len(cls) ** 2 for cls in classes)
+    if closure_changed:
+        warnings.warn(
+            "equivalence formula was not an equivalence relation; "
+            "its reflexive-symmetric-transitive closure is used"
+        )
     index = {u: idx for idx, members in enumerate(classes) for u in members}
 
     edges = set()
@@ -479,7 +392,7 @@ def build_quotient(s: RelStructure, a: TwoSortedAssignment, k: int,
     return QuotientGraph(
         s.n, k, classes, frozenset(edges),
         tuple(frozenset(l) for l in labels),
-        closure_changed=(closed != raw),
+        closure_changed,
     )
 
 
@@ -538,76 +451,67 @@ def print_lsexpr(f: LFormula) -> str:
 def _term_from_token(tok) -> tuple:
     if not isinstance(tok, str):
         raise MalformedInput(f"expected a number term, got {tok!r}")
-    if tok == "min":
-        return NUM_MIN
-    if tok == "max":
-        return NUM_MAX
-    if tok.isdigit():
-        return num_lit(int(tok))
-    return num_var(tok)
-
-
-def _names(data, what: str) -> tuple[str, ...]:
-    if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
-        raise MalformedInput(f"{what} must be a list of variable names")
-    return tuple(data)
+    if tok in ("min", "max"):
+        return (tok,)
+    if tok.isdecimal():
+        return ("lit", int(tok))
+    return ("var", tok)
 
 
 def lformula_from_data(data) -> LFormula:
+    """Build the node tree of a parsed S-expression; each kind constant is
+    the head of its form."""
     if not isinstance(data, list) or not data:
         raise MalformedInput(f"expected a list form, got {data!r}")
     head = data[0]
-    if head == "bool":
+    if head == LBOOL:
         if len(data) != 2 or data[1] not in ("t", "f"):
             raise MalformedInput("(bool t|f)")
-        return mk_lbool(data[1] == "t")
-    if head == "eq":
+        return LFormula(LBOOL, value=data[1] == "t")
+    if head == LEQ:
         if len(data) != 3:
             raise MalformedInput("(eq x y)")
-        return mk_leq(data[1], data[2])
-    if head == "atom":
+        return LFormula(LEQ, vars=_names(data[1:], "(eq x y)"))
+    if head == LATOM:
         if len(data) < 3:
             raise MalformedInput("(atom SYM x...)")
-        return mk_latom(data[1], data[2:])
-    if head == "not":
+        symbol, *vars = _names(data[1:], "(atom SYM x...)")
+        return LFormula(LATOM, symbol=symbol, vars=vars)
+    if head == LNOT:
         if len(data) != 2:
             raise MalformedInput("(not f)")
-        return mk_lnot(lformula_from_data(data[1]))
-    if head in ("or", "and"):
-        children = [lformula_from_data(d) for d in data[1:]]
-        return mk_lor(children) if head == "or" else mk_land(children)
-    if head in ("exists", "forall", "num-exists"):
+        return LFormula(LNOT, children=(lformula_from_data(data[1]),))
+    if head in (LOR, LAND):
+        return LFormula(head, children=[lformula_from_data(d) for d in data[1:]])
+    if head in (LEXISTS, "forall", NUMEXISTS):
         if len(data) != 3 or not isinstance(data[1], str):
             raise MalformedInput(f"({head} x f)")
         body = lformula_from_data(data[2])
-        if head == "exists":
-            return mk_lexists(data[1], body)
-        if head == "forall":
-            return mk_lforall(data[1], body)
-        return mk_num_exists(data[1], body)
-    if head in ("num-le", "num-succ", "num-eq"):
+        if head == "forall":  # not (exists x (not f))
+            body = LFormula(LNOT, children=(body,))
+            return LFormula(LNOT, children=(
+                LFormula(LEXISTS, bound_var=data[1], children=(body,)),))
+        return LFormula(head, bound_var=data[1], children=(body,))
+    if head in (NUMLE, NUMSUCC, NUMEQ):
         if len(data) != 3:
             raise MalformedInput(f"({head} t1 t2)")
-        t1, t2 = _term_from_token(data[1]), _term_from_token(data[2])
-        return {NUMLE: mk_num_le, NUMSUCC: mk_num_succ,
-                NUMEQ: mk_num_eq}[head](t1, t2)
-    if head in ("count-dom", "count-num"):
+        return LFormula(head, terms=map(_term_from_token, data[1:]))
+    if head in (COUNTDOM, COUNTNUM):
         if len(data) != 4 or not isinstance(data[1], str):
             raise MalformedInput(f"({head} x f k)")
-        body = lformula_from_data(data[2])
-        kappa = _term_from_token(data[3])
-        maker = mk_count_dom if head == "count-dom" else mk_count_num
-        return maker(data[1], body, kappa)
-    if head == "lrec":
+        return LFormula(head, bound_var=data[1],
+                        children=(lformula_from_data(data[2]),),
+                        kappa=_term_from_token(data[3]))
+    if head == LREC:
         if len(data) != 9:
             raise MalformedInput(
                 "(lrec (y1...) (y2...) (i...) eq-f edge-f card-f (x...) (k...))"
             )
-        return mk_lrec(
-            _names(data[1], "y1"), _names(data[2], "y2"), _names(data[3], "iota"),
-            lformula_from_data(data[4]), lformula_from_data(data[5]),
-            lformula_from_data(data[6]),
-            _names(data[7], "x"), _names(data[8], "kappa"),
+        return LFormula(
+            LREC, y1=_names(data[1], "y1"), y2=_names(data[2], "y2"),
+            iotas=_names(data[3], "iota"),
+            children=[lformula_from_data(d) for d in data[4:7]],
+            xs=_names(data[7], "x"), kappas=_names(data[8], "kappa"),
         )
     raise MalformedInput(f"unknown form {head!r}")
 

@@ -87,29 +87,21 @@ def initial_coloring(g: Graph, k: int) -> Coloring:
 
 def refine_to_stable(g: Graph, k: int) -> tuple[Coloring, int]:
     """Refine until the partition stops changing; the confirming round is
-    counted. Stabilizes within n^k rounds."""
+    counted. Stabilizes within n^k rounds.
+
+    Each refined signature starts with the old color, so a round can only
+    split classes: the partition is unchanged exactly when the class count
+    is."""
     _check_k(k)
     coloring = initial_coloring(g, k)
     rounds = 0
     while True:
         (new_colors,) = _dense_ids([_refined_signatures(g, k, coloring.colors)])
         rounds += 1
-        stable = _same_partition(coloring.colors, new_colors)
         coloring = Coloring(k, rounds, new_colors, coloring.history)
         coloring.history.append(coloring.num_classes())
-        if stable:
+        if coloring.history[-1] == coloring.history[-2]:
             return coloring, rounds
-
-
-def _same_partition(a: dict[tuple, int], b: dict[tuple, int]) -> bool:
-    groups_a: dict[int, set] = {}
-    groups_b: dict[int, set] = {}
-    for t, c in a.items():
-        groups_a.setdefault(c, set()).add(t)
-    for t, c in b.items():
-        groups_b.setdefault(c, set()).add(t)
-    return set(map(frozenset, groups_a.values())) == \
-        set(map(frozenset, groups_b.values()))
 
 
 def _multiset(colors: dict[tuple, int]) -> tuple[tuple[int, int], ...]:

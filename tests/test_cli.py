@@ -141,12 +141,27 @@ def test_error_is_machine_readable(files, tmp_path, capsys):
      "MalformedInput"),
     (["lrec-eval", "one.json", "--sexpr", "(atom P x)", "--assign", "[1]"],
      "MalformedInput"),
+    (["lrec-eval", "one.json", "--sexpr", "(atom P x)",
+      "--assign", '{"dom": {"x": 7}}'], "IdOutOfRange"),
+    (["lrec-eval", "one.json", "--sexpr", "(atom P x)",
+      "--assign", '{"dom": [1]}'], "MalformedInput"),
+    (["lrec-eval", "one.json", "--sexpr", "(count-dom x (atom P x) k)",
+      "--assign", '{"num": {"k": "a"}}'], "RangeViolation"),
+    (["eval", "missing.json", "--sexpr", "(bool t)"], "MalformedInput"),
+    (["eval", "one.json", "--sexpr", "(eq (x) y)"], "MalformedInput"),
+    (["eval", "one.json", "--sexpr", "(atom (E) x)"], "MalformedInput"),
+    (["eval", "one.json", "--sexpr", "(count >= 1 (x) (bool t))"],
+     "MalformedInput"),
+    (["eval", "one.json", "--sexpr", "(count >= (1) x (bool t))"],
+     "MalformedInput"),
+    (["lrec-eval", "one.json", "--sexpr", "(eq (x) y)"], "MalformedInput"),
+    (["compile", "--n", "4", "--i", "3"], "SizeExceeded"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
     one = tmp_path / "one.json"
     one.write_text('{"n": 1, "rels": {"P": [[0]]}}')
-    argv = [str(one) if a == "one.json" else a for a in argv]
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,11 +2,13 @@ import pytest
 
 from helpers import fig1_instance
 from lreckit.errors import (
+    IdOutOfRange,
     MalformedInput,
     RangeViolation,
     UnboundVariable,
 )
 from lreckit.lformula import (
+    LEvaluator,
     TwoSortedAssignment,
     build_quotient,
     eval_fo_c,
@@ -91,6 +93,31 @@ def test_unbound_and_nested_errors():
                 "(num-eq i 0) (x) (k))"
             ),
         )
+
+
+def test_one_evaluator_keeps_fresh_formulas_apart():
+    # each parsed tree is dropped after its call, so the second may be
+    # allocated where the first was
+    evaluator = LEvaluator(struct(2, [], p=[0]))
+    a = TwoSortedAssignment({"x": 0})
+    assert evaluator.eval(parse_lsexpr("(atom P x)"), a)
+    assert not evaluator.eval(parse_lsexpr("(atom E x x)"), a)
+
+
+@pytest.mark.parametrize("dom, num, error", [
+    ({"x": 7}, {}, IdOutOfRange),
+    ({"x": -1}, {}, IdOutOfRange),
+    ({"x": "a"}, {}, IdOutOfRange),
+    ({"x": 0}, {"k": "a"}, RangeViolation),
+])
+def test_assignment_values_are_checked(dom, num, error):
+    s = struct(2, [(0, 1)])
+    f = parse_lsexpr("(exists y (atom E x y))")
+    a = TwoSortedAssignment(dom, num)
+    with pytest.raises(error):
+        LEvaluator(s).eval(f, a)
+    with pytest.raises(error):
+        eval_lrec(s, f, a)
 
 
 FIG1_LREC = """
