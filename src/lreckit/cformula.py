@@ -17,6 +17,7 @@ from .errors import (
     MalformedInput,
     NotASentence,
     RangeViolation,
+    SizeExceeded,
     UnboundVariable,
     UnknownSymbol,
 )
@@ -35,6 +36,10 @@ EQN = "="
 LE = "<="
 
 MAX_THRESHOLD = 1_000_000
+# Both S-expression readers refuse forms nested deeper than this. The
+# deepest walk that stays recursive, LEvaluator on nested lrec forms, takes
+# about five frames a level and reaches the recursion limit near 200.
+MAX_NESTING = 150
 
 # Node ids are unique per process, not per interner: memos and intern keys
 # built from nids never confuse nodes of two different interners.
@@ -217,32 +222,29 @@ def nvars(f: CFormula) -> int:
     return len(f.varnames)
 
 
-def dag_size(f: CFormula) -> int:
-    """Number of distinct interned nodes reachable from f."""
-    seen = set()
-    stack = [f]
+def nodes(f: CFormula, known=()) -> list[CFormula]:
+    """The nodes reachable from f, children first: ascending nid, as a child
+    is interned first. Leaves out nids in `known` and what only they reach."""
+    found, stack = {}, [f]
     while stack:
         node = stack.pop()
-        if node.nid in seen:
-            continue
-        seen.add(node.nid)
-        stack.extend(node.children)
-    return len(seen)
+        if node.nid not in found and node.nid not in known:
+            found[node.nid] = node
+            stack.extend(node.children)
+    return [found[nid] for nid in sorted(found)]
+
+
+def dag_size(f: CFormula) -> int:
+    """Number of distinct interned nodes reachable from f."""
+    return len(nodes(f))
 
 
 def tree_size(f: CFormula) -> int:
     """Size of the fully expanded tree (exact, unbounded integer)."""
-    memo: dict[int, int] = {}
-
-    def go(node: CFormula) -> int:
-        cached = memo.get(node.nid)
-        if cached is not None:
-            return cached
-        size = 1 + sum(go(c) for c in node.children)
-        memo[node.nid] = size
-        return size
-
-    return go(f)
+    size: dict[int, int] = {}
+    for node in nodes(f):
+        size[node.nid] = 1 + sum(size[c.nid] for c in node.children)
+    return size[f.nid]
 
 
 def _compare(count: int, mode: str, threshold: int) -> bool:
@@ -350,39 +352,38 @@ class TableEvaluator:
             self._index[(cv, fv)] = idx
         return [table[i] for i in idx]
 
-    def table(self, f: CFormula) -> tuple[tuple[str, ...], list[bool]]:
-        cached = self._memo.get(f.nid)
-        if cached is not None:
-            return cached
+    def table(self, root: CFormula) -> tuple[tuple[str, ...], list[bool]]:
+        memo = self._memo
         s = self.structure
         n = s.n
-        fv = tuple(sorted(f.free_vars))
-        if f.kind == BOOL:
-            tbl = [f.value]
-        elif f.kind == EQ:
-            cells = [a == b for a in range(n) for b in range(n)]
-            tbl = self._reindex(f.vars, cells, fv)
-        elif f.kind == ATOM:
-            if f.symbol not in s.vocabulary:
-                raise UnknownSymbol(f.symbol)
-            rel = s.rel(f.symbol)
-            cells = [t in rel
-                     for t in itertools.product(range(n), repeat=len(f.vars))]
-            tbl = self._reindex(f.vars, cells, fv)
-        elif f.kind == NOT:
-            tbl = [not v for v in self.table(f.children[0])[1]]
-        elif f.kind in (OR, AND):
-            subs = [self._reindex(*self.table(c), fv) for c in f.children]
-            tbl = list(map(any if f.kind == OR else all, zip(*subs)))
-        elif f.kind == COUNT:
-            t = self._reindex(*self.table(f.children[0]), fv + (f.bound_var,))
-            tbl = [_compare(sum(t[i:i + n]), f.mode, f.threshold)
-                   for i in range(0, len(t), n)]
-        else:
-            raise AssertionError(f.kind)
-        result = (fv, tbl)
-        self._memo[f.nid] = result
-        return result
+        for f in nodes(root, memo):
+            fv = tuple(sorted(f.free_vars))
+            if f.kind == BOOL:
+                tbl = [f.value]
+            elif f.kind == EQ:
+                cells = [a == b for a in range(n) for b in range(n)]
+                tbl = self._reindex(f.vars, cells, fv)
+            elif f.kind == ATOM:
+                if f.symbol not in s.vocabulary:
+                    raise UnknownSymbol(f.symbol)
+                rel = s.rel(f.symbol)
+                cells = [t in rel for t in
+                         itertools.product(range(n), repeat=len(f.vars))]
+                tbl = self._reindex(f.vars, cells, fv)
+            elif f.kind == NOT:
+                tbl = [not v for v in memo[f.children[0].nid][1]]
+            elif f.kind in (OR, AND):
+                subs = [self._reindex(*memo[c.nid], fv) for c in f.children]
+                tbl = list(map(any if f.kind == OR else all, zip(*subs)))
+            elif f.kind == COUNT:
+                t = self._reindex(*memo[f.children[0].nid],
+                                  fv + (f.bound_var,))
+                tbl = [_compare(sum(t[i:i + n]), f.mode, f.threshold)
+                       for i in range(0, len(t), n)]
+            else:
+                raise AssertionError(f.kind)
+            memo[f.nid] = (fv, tbl)
+        return memo[root.nid]
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:
         n = self.structure.n
@@ -443,6 +444,11 @@ def _read(tokens: list[str], pos: int):
 
 def parse_sexpr_data(text: str):
     tokens = tokenize(text)
+    depth = 0
+    for tok in tokens:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_NESTING:
+            raise SizeExceeded(f"forms nest deeper than {MAX_NESTING}")
     data, pos = _read(tokens, 0)
     if pos != len(tokens):
         raise MalformedInput("trailing input after formula")

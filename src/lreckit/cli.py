@@ -43,11 +43,23 @@ def _assignment(text: str | None) -> dict:
     return doc
 
 
+def _formula_text(args) -> str:
+    """The formula given inline by --sexpr (even if empty) or by --formula."""
+    if args.sexpr is not None:
+        return args.sexpr
+    if args.formula is None:
+        raise MalformedInput("give the formula by --sexpr or --formula")
+    return _read(args.formula)
+
+
 def _emit(doc, out: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {out!r}: {exc}") from None
     else:
         print(text)
 
@@ -60,8 +72,7 @@ def _load_instance(args):
 
 def cmd_eval(args) -> int:
     s = parse_structure(_read(args.structure))
-    f = parse_sexpr(args.sexpr if args.sexpr else _read(args.formula),
-                    Interner())
+    f = parse_sexpr(_formula_text(args), Interner())
     result = TableEvaluator(s).eval(f, _assignment(args.assign))
     _emit({"result": result}, args.out)
     return 0
@@ -69,7 +80,7 @@ def cmd_eval(args) -> int:
 
 def cmd_lrec_eval(args) -> int:
     s = parse_structure(_read(args.structure))
-    f = parse_lsexpr(args.sexpr if args.sexpr else _read(args.formula))
+    f = parse_lsexpr(_formula_text(args))
     raw = _assignment(args.assign)
     dom, num = raw.get("dom", {}), raw.get("num", {})
     if not isinstance(dom, dict) or not isinstance(num, dict):

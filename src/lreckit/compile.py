@@ -34,6 +34,7 @@ from .cformula import (
     mk_not,
     mk_or,
     dag_size,
+    nodes,
     nvars,
     qdepth,
     tree_size,
@@ -484,12 +485,9 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
     params = CompileParams(n, len(f.kappas))
     phi_x = compile_x_formula(params, resource, QUERY_VAR, cache=cache)
 
+    vectors = list(_count_vectors(n))
     memo: dict[int, CFormula] = {}
-
-    def transform(node: CFormula) -> CFormula:
-        hit = memo.get(node.nid)
-        if hit is not None:
-            return hit
+    for node in nodes(phi_x):
         kind = node.kind
         if kind == "bool":
             out = node
@@ -515,16 +513,16 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
             else:
                 raise MalformedInput(f"unexpected symbol {node.symbol!r}")
         elif kind == "not":
-            out = mk_not(transform(node.children[0]), itn)
+            out = mk_not(memo[node.children[0].nid], itn)
         elif kind == "or":
-            out = mk_or([transform(c) for c in node.children], itn)
+            out = mk_or([memo[c.nid] for c in node.children], itn)
         elif kind == "and":
-            out = mk_and([transform(c) for c in node.children], itn)
+            out = mk_and([memo[c.nid] for c in node.children], itn)
         elif kind == "count":
-            child = transform(node.children[0])
+            child = memo[node.children[0].nid]
             z = node.bound_var
             picks = []
-            for q in _count_vectors(n):
+            for q in vectors:
                 if not _compare(sum(q), node.mode, node.threshold):
                     continue
                 conj = [
@@ -537,6 +535,4 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
         else:
             raise AssertionError(kind)
         memo[node.nid] = out
-        return out
-
-    return transform(phi_x)
+    return memo[phi_x.nid]

@@ -213,9 +213,11 @@ def topological_order(g: DiGraph) -> list[int] | None:
 
 
 def _parse_tuples(name, raw, n):
+    if not isinstance(raw, list):
+        raise MalformedInput(f"relation {name!r} is not a list of tuples")
     tuples = []
     for tup in raw:
-        if not isinstance(tup, list) or not all(isinstance(x, int) for x in tup):
+        if not isinstance(tup, list) or not all(type(x) is int for x in tup):
             raise MalformedInput(f"tuple {tup!r} in {name!r} is not a list of ints")
         for x in tup:
             if not (0 <= x < n):
@@ -240,7 +242,7 @@ def parse_structure(text: str, vocabulary: Vocabulary | None = None) -> RelStruc
     if not isinstance(doc, dict) or "n" not in doc:
         raise MalformedInput("expected an object with an 'n' field")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise MalformedInput(f"'n' must be a positive integer, got {n!r}")
     rels_raw = doc.get("rels", {})
     if not isinstance(rels_raw, dict):
@@ -270,7 +272,7 @@ def parse_digraph(text: str) -> DiGraph:
     s = parse_structure(text, GRAPH_VOCABULARY)
     doc = json.loads(text)
     root = doc.get("root") if isinstance(doc, dict) else None
-    if root is not None and not isinstance(root, int):
+    if root is not None and type(root) is not int:
         raise MalformedInput(f"'root' must be an integer, got {root!r}")
     return DiGraph(s.n, frozenset((u, v) for u, v in s.rel("E")), root)
 

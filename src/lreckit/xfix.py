@@ -4,7 +4,7 @@ X pairs a graph vertex with an integer resource. A pair (v, i) belongs to
 X when i >= 1 and the number of out-neighbours w whose recursive pair
 (w, floor((i-1)/in_degree(w))) already belongs to X is an admissible
 child-count for v. The resource strictly decreases along every recursive
-step, so memoized top-down evaluation terminates.
+step (in_degree(w) >= 1), so a stack decides each pair after those it reads.
 """
 
 from __future__ import annotations
@@ -92,26 +92,34 @@ class XInstance:
         return compute_X(self, v, i)
 
 
+def _read(g: DiGraph, w: int, i: int) -> tuple[int, int]:
+    """The pair (w, (i-1) // in_degree(w)) read by (v, i) at v -> w."""
+    return w, (i - 1) // len(g.in_neighbours[w])
+
+
 def compute_X(inst: XInstance, v: int, i: int) -> bool:
     """Decide (v, i) in X(G, C); total, memoized, resource-decreasing."""
     if not (0 <= v < inst.g.n):
         raise IdOutOfRange(f"vertex {v} not in [0, {inst.g.n - 1}]")
     if i <= 0:
         return False
-    key = (v, i)
-    cached = inst._memo.get(key)
-    if cached is not None:
-        return cached
-    count = 0
-    for w in inst.g.out_neighbours[v]:
-        # in-degree of w is >= 1 because v -> w exists, so the resource
-        # strictly decreases and the recursion is well-founded
-        j = (i - 1) // inst.g.in_degree(w)
-        if compute_X(inst, w, j):
-            count += 1
-    result = count in inst.c[v]
-    inst._memo[key] = result
-    return result
+    memo, g, sets = inst._memo, inst.g, inst.c.sets
+    if (v, i) in memo:
+        return memo[(v, i)]
+    stack = [(v, i)]
+    while stack:
+        u, res = stack[-1]
+        count, top = 0, len(stack)
+        for w in g.out_neighbours[u]:
+            p = _read(g, w, res)
+            if p[1] >= 1:
+                if (x := memo.get(p)) is None:
+                    stack.append(p)
+                else:
+                    count += x
+        if len(stack) == top:
+            memo[stack.pop()] = count in sets[u]
+    return memo[(v, i)]
 
 
 def compute_X_bottom_up(g: DiGraph, c: CardinalityCondition,
@@ -174,12 +182,12 @@ def build_H(g: DiGraph, v: int, i: int) -> HDag:
     while stack:
         u, res = stack.pop()
         for w in g.out_neighbours[u]:
-            j = (res - 1) // g.in_degree(w)
-            if j >= 1:
-                edges.add(((u, res), (w, j)))
-                if (w, j) not in pairs:
-                    pairs.add((w, j))
-                    stack.append((w, j))
+            p = _read(g, w, res)
+            if p[1] >= 1:
+                edges.add(((u, res), p))
+                if p not in pairs:
+                    pairs.add(p)
+                    stack.append(p)
     labels = tuple(sorted(pairs))
     index = {p: k for k, p in enumerate(labels)}
     dag = DiGraph(

@@ -18,6 +18,7 @@ from lreckit.cformula import (
     mk_implies,
     mk_not,
     mk_or,
+    nodes,
     nvars,
     parse_sexpr,
     print_sexpr,
@@ -187,6 +188,32 @@ def test_dag_smaller_than_tree_when_shared():
     p = mk_atom("P", ("x",), itn)
     f = mk_or([mk_and([p, p], itn), mk_and([p, p], itn)], itn)
     assert dag_size(f) < tree_size(f)
+
+
+def test_deep_chain_is_walked_without_recursion():
+    # f_k = P(x) and not f_(k-1): 5,000 links, far past the recursion limit
+    itn = Interner()
+    s = RelStructure(VOC, 2, {"P": frozenset({(0,)})})
+    p = mk_atom("P", ("x",), itn)
+    f = p
+    for _ in range(5000):
+        f = mk_and([p, mk_not(f, itn)], itn)
+    ev = TableEvaluator(s)
+    assert ev.eval(f, {"x": 0}) is True  # f_k holds at a P-state iff k is even
+    assert ev.eval(f, {"x": 1}) is False
+    assert dag_size(f) == 2 * 5000 + 1
+    assert tree_size(f) == 3 * 5000 + 1
+
+
+def test_nodes_lists_children_first_and_skips_known_nodes():
+    itn = Interner()
+    p, q = mk_atom("P", ("x",), itn), mk_atom("E", ("x", "y"), itn)
+    f = mk_or([mk_and([p, q], itn), mk_not(q, itn)], itn)
+    listed = nodes(f)
+    assert [node.nid for node in listed] == sorted(node.nid for node in listed)
+    assert listed[-1] is f and len(listed) == dag_size(f) == 5
+    assert nodes(f, {q.nid}) == [n for n in listed if n is not q]
+    assert nodes(f, {f.nid}) == []
 
 
 def test_boolean_simplifications():

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lreckit.cformula import MAX_NESTING
 from lreckit.cli import main
 
 GRAPH = '{"n": 3, "rels": {"E": [[0,1],[0,0],[0,2],[2,2],[2,0]]}, "root": 0}'
@@ -130,6 +134,16 @@ def test_error_is_machine_readable(files, tmp_path, capsys):
     assert err["error"] == "MalformedInput"
 
 
+# the structure documents that the cases below name
+STRUCTURES = {
+    "one.json": '{"n": 1, "rels": {"P": [[0]]}}',
+    "rel-int.json": '{"n": 2, "rels": {"E": 5}}',
+    "rel-obj.json": '{"n": 2, "rels": {"E": {}}}',
+    "n-bool.json": '{"n": true, "rels": {"E": [[0, 0]]}}',
+    "id-bool.json": '{"n": 2, "rels": {"E": [[0, true]]}}',
+}
+
+
 @pytest.mark.parametrize("argv, error", [
     (["eval", "one.json", "--sexpr", "(atom P x)", "--assign", '{"x": 7}'],
      "IdOutOfRange"),
@@ -156,17 +170,206 @@ def test_error_is_machine_readable(files, tmp_path, capsys):
      "MalformedInput"),
     (["lrec-eval", "one.json", "--sexpr", "(eq (x) y)"], "MalformedInput"),
     (["compile", "--n", "4", "--i", "3"], "SizeExceeded"),
+    (["eval", "one.json", "--sexpr",
+      "(not " * MAX_NESTING + "(bool t)" + ")" * MAX_NESTING], "SizeExceeded"),
+    (["lrec-eval", "one.json", "--sexpr",
+      "(not " * MAX_NESTING + "(bool t)" + ")" * MAX_NESTING], "SizeExceeded"),
+    (["eval", "one.json", "--sexpr", "(bool t)", "--out", "nodir/x.json"],
+     "MalformedInput"),
+    (["eval", "rel-int.json", "--sexpr", "(bool t)"], "MalformedInput"),
+    (["stats", "rel-int.json"], "MalformedInput"),
+    (["eval", "rel-obj.json", "--sexpr", "(bool t)"], "MalformedInput"),
+    (["eval", "n-bool.json", "--sexpr", "(bool t)"], "MalformedInput"),
+    (["eval", "id-bool.json", "--sexpr", "(bool t)"], "MalformedInput"),
+    (["stats", "id-bool.json"], "MalformedInput"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
-    one = tmp_path / "one.json"
-    one.write_text('{"n": 1, "rels": {"P": [[0]]}}')
+    for name, text in STRUCTURES.items():
+        (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] == error and set(err) == {"error", "message"}
+
+
+def _nest(command, open_, close, inner, assign):
+    # a form exactly MAX_NESTING deep
+    depth = MAX_NESTING - 1
+    return [command, "--sexpr", open_ * depth + inner + close * depth,
+            "--assign", assign]
+
+
+@pytest.mark.parametrize("argv", [
+    _nest("eval", "(and (atom P x) ", ")", "(atom P x)", '{"x": 0}'),
+    _nest("eval", "(count >= 1 y ", ")", "(atom P y)", "{}"),
+    _nest("lrec-eval", "(and (atom P x) ", ")", "(atom P x)",
+          '{"dom": {"x": 0}}'),
+    _nest("lrec-eval", "(exists y ", ")", "(atom P y)", "{}"),
+    _nest("lrec-eval", "(lrec (y1) (y2) (i) ",
+          " (atom P y1) (num-eq i min) (y1) (k))", "(eq y1 y2)",
+          '{"dom": {"y1": 0}, "num": {"k": 1}}'),
+])
+def test_forms_at_the_nesting_cap_evaluate(argv, tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(STRUCTURES["one.json"])
+    assert main([argv[0], str(one)] + argv[1:]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] in (True, False)
+
+
+def test_lrec_eval_walks_a_long_resource_chain(tmp_path, capsys):
+    # resource (2, ..., 2) in base 3 is 3**8 - 1 = 6,560; class 0 has a
+    # self-loop, so X(0, i) reads X(0, i - 1) down a chain of 6,560 pairs,
+    # and holds exactly at odd i
+    s = tmp_path / "s.json"
+    s.write_text('{"n": 2, "rels": {"E": [[0, 0]]}}')
+    kappas = [f"k{j}" for j in range(8)]
+    f = ("(lrec (y1) (y2) (i) (eq y1 y2) (atom E y1 y2) (num-eq i min) (x) ("
+         + " ".join(kappas) + "))")
+    assign = json.dumps({"dom": {"x": 0}, "num": dict.fromkeys(kappas, 2)})
+    assert main(["lrec-eval", str(s), "--sexpr", f, "--assign", assign]) == 0
+    assert json.loads(capsys.readouterr().out) == {"result": False}
+
+
+# --- the error contract, over generated inputs -----------------------------
+
+TOKENS = ["(", ")", "bool", "t", "f", "eq", "atom", "not", "or", "and",
+          "count", ">=", "=", "<=", "exists", "forall", "num-exists",
+          "num-le", "num-succ", "num-eq", "count-dom", "count-num", "lrec",
+          "min", "max", "0", "1", "2", "3", "x", "y", "z", "k", "i", "E", "P",
+          "R"]
+HEADS = ["bool", "eq", "atom", "not", "or", "and", "count", "exists",
+         "forall", "num-exists", "num-le", "num-succ", "num-eq", "count-dom",
+         "count-num", "lrec", "x", "E"]
+VAR = st.sampled_from(["x", "y", "z"])
+NUM = st.sampled_from(["k", "i"])
+TERM = st.sampled_from(["k", "i", "min", "max", "0", "1", "2", "4"])
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8)
+
+
+def _forms(inner):
+    # a parenthesised form with a head from the alphabet and random parts
+    return st.tuples(st.sampled_from(HEADS), st.lists(inner, max_size=4)).map(
+        lambda p: ["(", p[0], *[t for form in p[1] for t in form], ")"])
+
+
+def _formulas(inner):
+    # well-formed compound forms of both logics
+    return st.one_of(
+        inner.map("(not {})".format),
+        st.builds("({} {})".format, st.sampled_from(["and", "or"]),
+                  st.lists(inner, max_size=3).map(" ".join)),
+        st.builds("(count {} {} {} {})".format,
+                  st.sampled_from([">=", "=", "<="]), st.integers(0, 3), VAR,
+                  inner),
+        st.builds("({} {} {})".format, st.sampled_from(["exists", "forall"]),
+                  VAR, inner),
+        st.builds("(num-exists {} {})".format, NUM, inner),
+        st.builds("(count-dom {} {} {})".format, VAR, inner, TERM),
+        st.builds("(count-num {} {} {})".format, NUM, inner, TERM),
+        st.builds("(lrec ({}) ({}) ({}) {} {} {} ({}) ({}))".format, VAR, VAR,
+                  NUM, inner, inner, inner, VAR,
+                  st.lists(NUM, min_size=1, max_size=3).map(" ".join)),
+    )
+
+
+FORMULAS = st.recursive(
+    st.one_of(
+        st.sampled_from(["(bool t)", "(bool f)"]),
+        st.builds("(eq {} {})".format, VAR, VAR),
+        st.builds("(atom P {})".format, VAR),
+        st.builds("(atom E {} {})".format, VAR, VAR),
+        st.builds("({} {} {})".format,
+                  st.sampled_from(["num-le", "num-succ", "num-eq"]), TERM,
+                  TERM),
+    ),
+    _formulas, max_leaves=6)
+
+# each kind of input is listed twice where it is well-formed, so that about
+# half the generated commands get past the readers
+SEXPRS = st.one_of(
+    FORMULAS,
+    FORMULAS,
+    st.lists(st.sampled_from(TOKENS), max_size=30).map(" ".join),
+    st.recursive(st.sampled_from(TOKENS).map(lambda t: [t]), _forms,
+                 max_leaves=12).map(" ".join),
+)
+
+
+def _structure(n):
+    ids = st.integers(0, n - 1)
+    return st.fixed_dictionaries({"n": st.just(n), "rels": st.one_of(
+        st.fixed_dictionaries({
+            "E": st.lists(st.lists(ids, min_size=2, max_size=2), max_size=5),
+            "P": st.lists(st.lists(ids, min_size=1, max_size=1), max_size=2),
+        }),
+        st.dictionaries(st.sampled_from("EPR"), st.lists(
+            st.lists(ids, min_size=1, max_size=3), max_size=4), max_size=3),
+    )})
+
+
+def _retyped(args):
+    # the structure with one field replaced by an arbitrary JSON value
+    doc, field, value = args
+    if field == "doc":
+        return value
+    if field == "E":
+        doc["rels"]["E"] = value
+    elif field is not None:
+        doc[field] = value
+    return doc
+
+
+STRUCTURE_DOCS = st.tuples(
+    st.integers(1, 3).flatmap(_structure),
+    st.sampled_from([None, None, None, "n", "rels", "E", "doc"]),
+    JSON,
+).map(_retyped)
+
+IDS = st.fixed_dictionaries({}, optional=dict.fromkeys(
+    ["x", "y", "z"], st.integers(0, 2)))
+NUMS = st.fixed_dictionaries({}, optional=dict.fromkeys(
+    ["k", "i"], st.integers(0, 3)))
+
+
+def _assigns(valid):
+    return st.one_of(valid.map(json.dumps), valid.map(json.dumps), st.none(),
+                     st.text(max_size=6), JSON.map(json.dumps))
+
+
+ASSIGNS = {
+    "eval": _assigns(IDS),
+    "lrec-eval": _assigns(st.fixed_dictionaries(
+        {}, optional={"dom": IDS, "num": NUMS})),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(command=st.sampled_from(["eval", "lrec-eval"]), doc=STRUCTURE_DOCS,
+       sexpr=SEXPRS, data=st.data())
+def test_cli_error_contract_holds_for_generated_inputs(
+        command, doc, sexpr, data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "contract.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path), f"--sexpr={sexpr}"]
+    assign = data.draw(ASSIGNS[command])
+    if assign is not None:
+        argv.append(f"--assign={assign}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
 
 
 def test_byte_identical_reruns(files, tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import FIG1_IN_X, FIG1_NOT_IN_X, fig1_instance
-from lreckit.cformula import Interner, TableEvaluator, nvars, qdepth
+from lreckit.cformula import Interner, TableEvaluator, nodes, nvars, qdepth
 from lreckit.compile import CompileParams, FormulaCache, compile_x_formula, formula_stats
 from lreckit.corpus import generate_corpus
 from lreckit.errors import MalformedInput, RangeViolation
@@ -86,6 +86,12 @@ def test_stats_fields():
     assert set(stats) >= {"qd", "nvars", "dag_size", "tree_size"}
     assert stats["qd"] == qdepth(f)
     assert stats["dag_size"] <= stats["tree_size"]
+
+
+def test_every_compiled_node_comes_after_its_children():
+    f = compile_x_formula(CompileParams(4, 1), 5, cache=FormulaCache())
+    for node in nodes(f):
+        assert all(c.nid < node.nid for c in node.children)
 
 
 def test_cache_isolation_and_reuse():

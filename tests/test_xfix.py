@@ -93,6 +93,16 @@ def test_bottom_up_oracle_agrees_on_random_instances():
         _agree(g, c, 14)
 
 
+@pytest.mark.parametrize("counts", [{0}, {1}, {0, 1}])
+def test_long_self_loop_chain_agrees_with_bottom_up(counts):
+    # (0, i) reads (0, i - 1): a chain of 5,000 pairs from the first query
+    g = DiGraph(1, frozenset({(0, 0)}))
+    c = CardinalityCondition((frozenset(counts),))
+    inst = XInstance(g, c)
+    got = {(0, i) for i in range(5000, 0, -1) if compute_X(inst, 0, i)}
+    assert got == compute_X_bottom_up(g, c, 5000)
+
+
 def test_encode_tau_n_layout():
     g, c = fig1_instance()
     s = encode_tau_n(g, c, 3)
