@@ -1,18 +1,20 @@
 """Hash-consed counting-logic formulas and their memoizing model checker.
 
 Formulas are interned: structurally equal trees share one node, so the
-recursive formula families built by the compiler stay DAG-sized. Nodes
-cache quantifier depth and the set of variable names occurring. Every
-mk_* call takes the Interner its caller owns; there is no shared default.
+recursive formula families built by the compiler stay DAG-sized. A node
+stores its structural fields; the interner looks it up by its key and,
+only when the key is new, derives its quantifier depth and variable sets.
+Every mk_* call takes the Interner its caller owns; there is no shared
+default.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Iterable
 
 from .errors import (
+    ArityMismatch,
     IdOutOfRange,
     MalformedInput,
     NotASentence,
@@ -76,49 +78,55 @@ class CFormula:
         self.bound_var = bound_var
         self.nid = -1  # assigned by the interner
 
-        if kind in (BOOL, EQ, ATOM):
-            self.qdepth = 0
-            self.varnames = frozenset(vars)
-            self.free_vars = frozenset(vars)
-        elif kind in (NOT, OR, AND):
-            self.qdepth = max((c.qdepth for c in children), default=0)
-            self.varnames = frozenset().union(*(c.varnames for c in children)) \
-                if children else frozenset()
-            self.free_vars = frozenset().union(*(c.free_vars for c in children)) \
-                if children else frozenset()
-        elif kind == COUNT:
-            (child,) = children
-            self.qdepth = child.qdepth + 1
-            self.varnames = child.varnames | {bound_var}
-            self.free_vars = child.free_vars - {bound_var}
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-
     def key(self):
         return (self.kind, self.value, self.vars, self.symbol,
-                tuple(c.nid for c in self.children),
+                tuple([c.nid for c in self.children]),
                 self.mode, self.threshold, self.bound_var)
 
     def __repr__(self):
         return f"<CFormula #{self.nid} {print_sexpr(self)}>"
 
 
+def _derive(node: CFormula) -> None:
+    """Set the quantifier depth and variable sets of a new node from its
+    already interned children."""
+    kind, children = node.kind, node.children
+    if kind in (BOOL, EQ, ATOM):
+        node.qdepth = 0
+        node.varnames = node.free_vars = frozenset(node.vars)
+    elif kind in (NOT, OR, AND):
+        node.qdepth = max([c.qdepth for c in children], default=0)
+        node.varnames = frozenset().union(*[c.varnames for c in children])
+        node.free_vars = frozenset().union(*[c.free_vars for c in children])
+    elif kind == COUNT:
+        (child,) = children
+        node.qdepth = child.qdepth + 1
+        node.varnames = child.varnames | {node.bound_var}
+        node.free_vars = child.free_vars - {node.bound_var}
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+
+
 class Interner:
-    """Table mapping structural keys to unique nodes; creation is atomic."""
+    """Table mapping structural keys to unique nodes.
+
+    `intern(node)` returns the node already stored under node's key, or
+    derives node's fields, gives it a nid and stores it. A node that loses
+    to an existing one is dropped without any derived work.
+    """
 
     def __init__(self):
         self._table: dict[tuple, CFormula] = {}
-        self._lock = threading.Lock()
 
     def intern(self, node: CFormula) -> CFormula:
         key = node.key()
-        with self._lock:
-            existing = self._table.get(key)
-            if existing is not None:
-                return existing
-            node.nid = next(_NIDS)
-            self._table[key] = node
-            return node
+        existing = self._table.get(key)
+        if existing is not None:
+            return existing
+        _derive(node)
+        node.nid = next(_NIDS)
+        self._table[key] = node
+        return node
 
     def __len__(self):
         return len(self._table)
@@ -267,6 +275,16 @@ def _checked_assignment(f: CFormula, assignment: dict | None, n: int) -> dict:
     return assignment
 
 
+def _check_atom(f: CFormula, s: RelStructure) -> None:
+    """Refuse an atom whose symbol or arity the structure does not have."""
+    if f.symbol not in s.vocabulary:
+        raise UnknownSymbol(f.symbol)
+    arity = s.vocabulary.arity(f.symbol)
+    if len(f.vars) != arity:
+        raise ArityMismatch(
+            f"{f.symbol} has arity {arity}, got {len(f.vars)} arguments")
+
+
 class Evaluator:
     """Memoizing model checker for one structure.
 
@@ -297,8 +315,7 @@ class Evaluator:
         if f.kind == EQ:
             return a[f.vars[0]] == a[f.vars[1]]
         if f.kind == ATOM:
-            if f.symbol not in s.vocabulary:
-                raise UnknownSymbol(f.symbol)
+            _check_atom(f, s)
             return tuple(a[v] for v in f.vars) in s.rel(f.symbol)
         if f.kind == NOT:
             return not self._eval(f.children[0], a)
@@ -364,12 +381,12 @@ class TableEvaluator:
                 cells = [a == b for a in range(n) for b in range(n)]
                 tbl = self._reindex(f.vars, cells, fv)
             elif f.kind == ATOM:
-                if f.symbol not in s.vocabulary:
-                    raise UnknownSymbol(f.symbol)
+                # one cell per assignment of the distinct variables, fv
+                _check_atom(f, s)
                 rel = s.rel(f.symbol)
-                cells = [t in rel for t in
-                         itertools.product(range(n), repeat=len(f.vars))]
-                tbl = self._reindex(f.vars, cells, fv)
+                pos = [fv.index(v) for v in f.vars]
+                tbl = [tuple([t[p] for p in pos]) in rel for t in
+                       itertools.product(range(n), repeat=len(fv))]
             elif f.kind == NOT:
                 tbl = [not v for v in memo[f.children[0].nid][1]]
             elif f.kind in (OR, AND):

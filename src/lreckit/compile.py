@@ -478,9 +478,15 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
             psi_memo[key] = hit
         return hit
 
+    size_memo: dict[tuple, CFormula] = {}
+
     def size_test(s: int, z: str) -> CFormula:
         # "the class of z has exactly s members"
-        return mk_count(EQN, s, s1, psi(eq_f, s1, z), itn)
+        hit = size_memo.get((s, z))
+        if hit is None:
+            hit = mk_count(EQN, s, s1, psi(eq_f, s1, z), itn)
+            size_memo[(s, z)] = hit
+        return hit
 
     params = CompileParams(n, len(f.kappas))
     phi_x = compile_x_formula(params, resource, QUERY_VAR, cache=cache)
@@ -521,15 +527,20 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
         elif kind == "count":
             child = memo[node.children[0].nid]
             z = node.bound_var
+            # "exactly qs classes of size s": one term per distinct (s, qs)
+            terms: dict[tuple[int, int], CFormula] = {}
             picks = []
             for q in vectors:
                 if not _compare(sum(q), node.mode, node.threshold):
                     continue
-                conj = [
-                    mk_count(EQN, s * qs, z,
-                             mk_and([child, size_test(s, z)], itn), itn)
-                    for s, qs in zip(range(1, n + 1), q)
-                ]
+                conj = []
+                for s, qs in zip(range(1, n + 1), q):
+                    term = terms.get((s, qs))
+                    if term is None:
+                        term = mk_count(EQN, s * qs, z, mk_and(
+                            [child, size_test(s, z)], itn), itn)
+                        terms[(s, qs)] = term
+                    conj.append(term)
                 picks.append(mk_and(conj, itn))
             out = mk_or(picks, itn)
         else:

@@ -326,6 +326,9 @@ def build_quotient(s: RelStructure, a: TwoSortedAssignment, k: int,
     y1, y2, iotas = tuple(y1), tuple(y2), tuple(iotas)
     if len(y1) != k or len(y2) != k:
         raise ArityMismatch(f"y1/y2 must have width {k}")
+    if len(iotas) > MAX_NUM_TUPLE:
+        # every class label would enumerate (n+1)**len(iotas) tuples
+        raise SizeExceeded(f"iota width {len(iotas)} exceeds {MAX_NUM_TUPLE}")
     ev = LEvaluator(s)
     verts = list(itertools.product(range(s.n), repeat=k))
 

@@ -133,9 +133,11 @@ def run_battery(cache: FormulaCache | None = None):
         for sid, s in enumerate(STRUCTURES):
             if len(kappas) == 2 and s.n > MAX_N_TWO_KAPPA:
                 continue
+            # one evaluator per formula and structure: the translations of
+            # all resource tuples share its tables
+            ev = TableEvaluator(s)
             for tup in resource_tuples(s.n, len(kappas)):
                 cf = translate_lrec_once(f, s.n, tup, cache)
-                ev = TableEvaluator(s)
                 for v in range(s.n):
                     want = eval_lrec(
                         s, f,

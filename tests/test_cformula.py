@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lreckit.cformula import (
+    CFormula,
     Evaluator,
     Interner,
     TableEvaluator,
@@ -26,6 +27,7 @@ from lreckit.cformula import (
     tree_size,
 )
 from lreckit.errors import (
+    ArityMismatch,
     IdOutOfRange,
     MalformedInput,
     NotASentence,
@@ -120,6 +122,71 @@ def test_interning_gives_identity(f, g):
     assert again_f is f
     if print_sexpr(f) == print_sexpr(g):
         assert f is g
+
+
+def _fields(f):
+    """(qdepth, varnames, free_vars) of f, recomputed over its whole tree."""
+    if f.kind in ("bool", "eq", "atom"):
+        return 0, frozenset(f.vars), frozenset(f.vars)
+    subs = [_fields(c) for c in f.children]
+    if f.kind == "count":
+        ((qd, names, free),) = subs
+        return qd + 1, names | {f.bound_var}, free - {f.bound_var}
+    return (max(qd for qd, _, _ in subs),
+            frozenset().union(*(names for _, names, _ in subs)),
+            frozenset().union(*(free for _, _, free in subs)))
+
+
+@settings(max_examples=100)
+@given(formulas())
+def test_interned_nodes_carry_their_derived_fields(f):
+    for node in nodes(f):
+        assert (node.qdepth, node.varnames, node.free_vars) == _fields(node)
+
+
+def test_rebuilding_returns_the_node_and_takes_no_nid():
+    itn = Interner()
+    f = parse_sexpr("(or (atom E x y) (count = 2 y (and (eq x y) (atom P y))))",
+                    itn)
+    size = len(itn)
+    before = mk_bool(True, Interner()).nid
+    assert parse_sexpr(print_sexpr(f), itn) is f
+    assert mk_bool(True, Interner()).nid == before + 1
+    assert len(itn) == size
+    # a new key keeps the node; a node that loses to an existing one gets
+    # no nid and no derived field
+    fresh = CFormula("not", children=(f,))
+    assert itn.intern(fresh) is fresh and fresh.qdepth == 1
+    dropped = CFormula("not", children=(f,))
+    assert itn.intern(dropped) is fresh
+    assert dropped.nid == -1 and not hasattr(dropped, "qdepth")
+
+
+def test_atom_arity_is_checked_before_any_table():
+    s = RelStructure(VOC, 3, {"E": frozenset({(0, 1)})})
+    f = mk_atom("E", ("x",) * 13, Interner())
+    for ev in (Evaluator(s), TableEvaluator(s)):
+        with pytest.raises(ArityMismatch):
+            ev.eval(f, {"x": 0})
+
+
+@settings(max_examples=50)
+@given(structures())
+def test_atom_table_spans_its_distinct_variables(s):
+    f = mk_atom("R", ("x", "x", "y"), ITN)
+    table = TableEvaluator(s)
+    assert table.table(f) == (("x", "y"),
+                              [(a, a, b) in s.rel("R") for a in range(s.n)
+                               for b in range(s.n)])
+    for a in range(s.n):
+        for b in range(s.n):
+            assign = {"x": a, "y": b}
+            assert table.eval(f, assign) == Evaluator(s).eval(f, assign)
+
+
+def test_unknown_kind_is_refused_when_interned():
+    with pytest.raises(ValueError):
+        Interner().intern(CFormula("xor", children=()))
 
 
 def test_interner_isolation():

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,7 +142,16 @@ STRUCTURES = {
     "rel-obj.json": '{"n": 2, "rels": {"E": {}}}',
     "n-bool.json": '{"n": true, "rels": {"E": [[0, 0]]}}',
     "id-bool.json": '{"n": 2, "rels": {"E": [[0, true]]}}',
+    "three.json": '{"n": 3, "rels": {"E": [[0, 1]]}}',
 }
+
+# refused before any enumeration: 4**9 iota tuples per class, 3**13 cells
+NINE_IOTAS = ["lrec-eval", "three.json", "--sexpr",
+              "(lrec (y1) (y2) (" + " ".join(["i"] * 9) + ") (eq y1 y2)"
+              " (atom E y1 y2) (bool f) (x) (k))",
+              "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
+WIDE_ATOM = ["eval", "three.json", "--sexpr",
+             "(atom E " + " ".join(["x"] * 13) + ")", "--assign", '{"x": 0}']
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -182,13 +192,19 @@ STRUCTURES = {
     (["eval", "n-bool.json", "--sexpr", "(bool t)"], "MalformedInput"),
     (["eval", "id-bool.json", "--sexpr", "(bool t)"], "MalformedInput"),
     (["stats", "id-bool.json"], "MalformedInput"),
+    (NINE_IOTAS, "SizeExceeded"),
+    (WIDE_ATOM, "ArityMismatch"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
     for name, text in STRUCTURES.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    started = time.perf_counter()
     assert main(argv) == 2
+    # refusals come before the work they guard: enumerating NINE_IOTAS
+    # takes about 4 s
+    assert time.perf_counter() - started < 2.0
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)

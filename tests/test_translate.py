@@ -1,7 +1,13 @@
 import pytest
 
 from lrec_battery import BATTERY, STRUCTURES, resource_tuples
-from lreckit.cformula import TableEvaluator, mk_bool
+from lreckit.cformula import (
+    TableEvaluator,
+    dag_size,
+    mk_bool,
+    nvars,
+    qdepth,
+)
 from lreckit.compile import (
     QUERY_VAR,
     FormulaCache,
@@ -12,6 +18,7 @@ from lreckit.errors import (
     ArityMismatch,
     MalformedInput,
     NestedLrec,
+    SizeExceeded,
     TupleWidthUnsupported,
 )
 from lreckit.lformula import (
@@ -44,6 +51,16 @@ def test_translation_agrees_on_small_structures(idx):
         sweep(f, kappas, s)
 
 
+@pytest.mark.parametrize("idx, n, tup, dag, qd, nv", [
+    (0, 3, (2,), 2034, 16, 7),
+    (22, 2, (1, 1), 8099, 22, 7),
+])
+def test_translation_shape_is_pinned(idx, n, tup, dag, qd, nv):
+    # measured before the count terms were shared; the same DAG results
+    cf = translate_lrec_once(BATTERY[idx][4], n, tup, FormulaCache())
+    assert (dag_size(cf), qdepth(cf), nvars(cf)) == (dag, qd, nv)
+
+
 def test_zero_resource_translates_to_false():
     _, _, _, kappas, f = BATTERY[0]
     assert translate_lrec_once(f, 3, (0,), CACHE) is mk_bool(
@@ -72,6 +89,15 @@ def test_rejects_wide_tuples():
     )
     with pytest.raises(TupleWidthUnsupported):
         translate_lrec_once(f, 2, (1,), CACHE)
+
+
+def test_rejects_iota_width_above_the_number_tuple_bound():
+    # 4**9 iota tuples per label atom at n=3, none of them a number;
+    # decode_number refuses the first one
+    f = parse_lsexpr("(lrec (y1) (y2) (" + " ".join(["i"] * 9) + ") "
+                     "(eq y1 y2) (atom E y1 y2) (bool f) (x) (k))")
+    with pytest.raises(SizeExceeded):
+        translate_lrec_once(f, 3, (1,), CACHE)
 
 
 def test_resource_arity_checked():
