@@ -2,7 +2,9 @@
 
 All outputs are JSON (formulas as S-expressions inside JSON strings) and
 fully determined by the inputs and --seed. Errors surface as a
-machine-readable JSON object on stderr with a nonzero exit code.
+machine-readable JSON object on stderr with exit code 2. Each command
+returns its document and exit code, and `main` writes the one JSON object;
+warnings raised on the way go into it as a "warnings" list.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import balancer, compile as compiler, corpus, dagstats, intervals, wl
 from .cformula import Interner, TableEvaluator, parse_sexpr, print_sexpr
 from .errors import LreckitError, MalformedInput, SizeExceeded
 from .lformula import TwoSortedAssignment, eval_lrec, parse_lsexpr
 from .structures import parse_digraph, parse_graph, parse_structure
-from .xfix import XInstance, compute_X, encode_tau_n, parse_cardinality
+from .xfix import XInstance, compute_X, parse_cardinality
 
 
 # compile refuses to print a formula whose expanded tree is larger: the
@@ -70,15 +73,14 @@ def _load_instance(args):
     return g, c
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     s = parse_structure(_read(args.structure))
     f = parse_sexpr(_formula_text(args), Interner())
     result = TableEvaluator(s).eval(f, _assignment(args.assign))
-    _emit({"result": result}, args.out)
-    return 0
+    return {"result": result}, 0
 
 
-def cmd_lrec_eval(args) -> int:
+def cmd_lrec_eval(args):
     s = parse_structure(_read(args.structure))
     f = parse_lsexpr(_formula_text(args))
     raw = _assignment(args.assign)
@@ -86,11 +88,10 @@ def cmd_lrec_eval(args) -> int:
     if not isinstance(dom, dict) or not isinstance(num, dict):
         raise MalformedInput('--assign "dom" and "num" must be JSON objects')
     a = TwoSortedAssignment(dom, num)
-    _emit({"result": eval_lrec(s, f, a)}, args.out)
-    return 0
+    return {"result": eval_lrec(s, f, a)}, 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     g, c = _load_instance(args)
     inst = XInstance(g, c)
     members = [
@@ -99,11 +100,10 @@ def cmd_oracle(args) -> int:
         for i in range(1, args.max_i + 1)
         if compute_X(inst, v, i)
     ]
-    _emit({"n": g.n, "max_i": args.max_i, "X": members}, args.out)
-    return 0
+    return {"n": g.n, "max_i": args.max_i, "X": members}, 0
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args):
     params = compiler.CompileParams(args.n, args.r)
     f = compiler.compile_x_formula(params, args.i,
                                    cache=compiler.FormulaCache())
@@ -113,76 +113,56 @@ def cmd_compile(args) -> int:
             f"the formula expands to {stats['tree_size']} nodes when printed;"
             f" at most {MAX_PRINTED_NODES} are printed")
     doc = {"formula": print_sexpr(f), "stats": {**stats, "H": params.H}}
-    _emit(doc, args.out)
-    return 0
+    return doc, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     params = compiler.CompileParams(args.n, args.r)
     instances = corpus.generate_corpus(args.seed, args.n, args.count)
-    cache = compiler.FormulaCache()
-    formulas = {i: compiler.compile_x_formula(params, i, cache=cache)
-                for i in range(1, args.n + 2)}
-    mismatches = []
-    checked = 0
-    for idx, (g, c) in enumerate(instances):
-        s = encode_tau_n(g, c, args.n)
-        ev = TableEvaluator(s)
-        inst = XInstance(g, c)
-        for i, f in formulas.items():
-            for v in range(g.n):
-                checked += 1
-                got = ev.eval(f, {"x": v})
-                want = compute_X(inst, v, i)
-                if got != want:
-                    mismatches.append({"instance": idx, "v": v, "i": i,
-                                       "compiled": got, "oracle": want})
-    _emit({
+    checked, mismatches = compiler.check_against_oracle(
+        params, instances, compiler.FormulaCache())
+    return {
         "instances": len(instances),
         "checked": checked,
         "mismatches": mismatches,
         "ok": not mismatches,
-    }, args.out)
-    return 0 if not mismatches else 1
+    }, 0 if not mismatches else 1
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     g = parse_digraph(_read(args.graph))
     tree = balancer.build_tree(g)
     report = balancer.check_tree(g, tree)
-    _emit({
+    return {
         "tree": tree.root.to_dict(),
         "height": tree.height(),
         "check": report.to_dict(),
         "ok": report.all_pass(),
-    }, args.out)
-    return 0 if report.all_pass() else 1
+    }, 0 if report.all_pass() else 1
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args):
     g = parse_digraph(_read(args.graph))
-    _emit(dagstats.weights(g).to_dict(), args.out)
-    return 0
+    return dagstats.weights(g).to_dict(), 0
 
 
-def cmd_wl(args) -> int:
+def cmd_wl(args):
     g = parse_graph(_read(args.graph1))
     h = parse_graph(_read(args.graph2))
     rounds = wl.distinguish(g, h, args.k, args.max_rounds)
     stable_g, _ = wl.refine_to_stable(g, args.k)
     stable_h, _ = wl.refine_to_stable(h, args.k)
-    _emit({
+    return {
         "distinguished": rounds is not None,
         "rounds": rounds,
         "class_sizes_per_round": {
             "g": stable_g.history,
             "h": stable_h.history,
         },
-    }, args.out)
-    return 0
+    }, 0
 
 
-def cmd_interval(args) -> int:
+def cmd_interval(args):
     g = parse_graph(_read(args.graph))
     cliques = intervals.maxcliques(g)
     interval = intervals.is_interval(g)
@@ -198,8 +178,7 @@ def cmd_interval(args) -> int:
         doc["prec"] = rel.to_dict()
         doc["modules"] = [sorted(s)
                           for s in intervals.extract_modules(g, anchor)]
-    _emit(doc, args.out)
-    return 0
+    return doc, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,15 +252,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _with_warnings(doc: dict, caught) -> dict:
+    """doc as it is, or with the distinct warnings in `caught` added under
+    "warnings", in the order first raised."""
+    if not caught:
+        return doc
+    seen = dict.fromkeys((w.category.__name__, str(w.message)) for w in caught)
+    return {**doc, "warnings": [{"category": category, "message": message}
+                                for category, message in seen]}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except LreckitError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            doc, code = args.func(args)
+            _emit(_with_warnings(doc, caught), args.out)
+            return code
+        except LreckitError as exc:
+            error = {"error": type(exc).__name__, "message": str(exc)}
+            json.dump(_with_warnings(error, caught), sys.stderr)
+            sys.stderr.write("\n")
+            return 2
 
 
 if __name__ == "__main__":

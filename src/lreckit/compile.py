@@ -16,13 +16,22 @@ atoms of the compiled formula.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .cformula import (
-    CFormula,
+    AND,
+    ATOM,
+    BOOL,
+    COUNT,
+    EQ,
     EQN,
+    NOT,
+    OR,
+    CFormula,
     Interner,
+    TableEvaluator,
     _compare,
     mk_and,
     mk_atom,
@@ -66,6 +75,7 @@ from .lformula import (
     decode_number,
     term_value,
 )
+from .xfix import XInstance, compute_X, encode_tau_n
 
 PALETTE = ("x", "y", "z", "u", "v", "w")
 # Reserved names never drawn from the palette: the query variable of a
@@ -103,12 +113,12 @@ class CompileParams:
 
 
 class FormulaCache:
-    """Memo from (family tag, indices, variable names) to interned nodes.
+    """Memo from (family name, n, indices, variable names) to interned
+    nodes, filled by the compiler families through `_family`.
 
-    Families: deg, path, child0, child1, psi0, psi1. All construction goes
-    through the cache; the recursive definitions would blow up as trees.
-    The cache owns the interner its nodes are built on: the one passed in,
-    or a fresh one.
+    The recursive definitions would blow up as trees, so every family call
+    goes through the cache. The cache owns the interner its nodes are built
+    on: the one passed in, or a fresh one.
     """
 
     def __init__(self, interner: Interner | None = None):
@@ -118,12 +128,22 @@ class FormulaCache:
     def get(self, key: tuple) -> CFormula | None:
         return self._memo.get(key)
 
-    def put(self, key: tuple, f: CFormula) -> CFormula:
-        self._memo[key] = f
-        return f
-
     def __len__(self):
         return len(self._memo)
+
+
+def _family(build):
+    """Memoise a formula family on the cache it is called with, keyed on
+    the family's name and its positional arguments."""
+    @functools.wraps(build)
+    def family(*args, cache: FormulaCache) -> CFormula:
+        key = (build.__name__, *args)
+        f = cache.get(key)
+        if f is None:
+            f = cache._memo[key] = build(*args, cache=cache)
+        return f
+
+    return family
 
 
 def deg_formula(d: int, target: str, aux: str, interner: Interner) -> CFormula:
@@ -135,183 +155,135 @@ def deg_formula(d: int, target: str, aux: str, interner: Interner) -> CFormula:
     return mk_count(EQN, d, aux, mk_atom("E", (aux, target), interner), interner)
 
 
-def path_formula(h: int, l: int, lp: int, params: CompileParams,
-                 x: str = "x", y: str = "y", *,
+@_family
+def path_formula(n: int, h: int, l: int, lp: int, x: str, y: str, *,
                  cache: FormulaCache) -> CFormula:
     """Resource-annotated reachability: a walk from (x, l) to (y, lp) in
     the unfolded recursion DAG, verifiable in h doubling steps."""
     itn = cache.interner
-    key = ("path", params.n, h, l, lp, x, y)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    n = params.n
     if h == 0:
         if l == lp:
-            f = mk_eq(x, y, itn)
-        else:
-            aux = _fresh({x, y})
-            degs = [
-                deg_formula(d, y, aux, itn)
-                for d in range(1, n + 1)
-                if (l - 1) // d == lp
-            ]
-            f = mk_and([mk_atom("E", (x, y), itn), mk_or(degs, itn)], itn)
-    else:
-        z = _fresh({x, y})
-        options = [
-            mk_and([path_formula(h - 1, l, j, params, x, z, cache=cache),
-                    path_formula(h - 1, j, lp, params, z, y, cache=cache)],
-                   itn)
-            for j in range(lp, l + 1)
+            return mk_eq(x, y, itn)
+        aux = _fresh({x, y})
+        degs = [
+            deg_formula(d, y, aux, itn)
+            for d in range(1, n + 1)
+            if (l - 1) // d == lp
         ]
-        f = mk_exists(z, mk_or(options, itn), itn)
-    return cache.put(key, f)
+        return mk_and([mk_atom("E", (x, y), itn), mk_or(degs, itn)], itn)
+    z = _fresh({x, y})
+    options = [
+        mk_and([path_formula(n, h - 1, l, j, x, z, cache=cache),
+                path_formula(n, h - 1, j, lp, z, y, cache=cache)], itn)
+        for j in range(lp, l + 1)
+    ]
+    return mk_exists(z, mk_or(options, itn), itn)
 
 
-def _psi0_base(ip: int, params: CompileParams, x: str,
-               cache: FormulaCache) -> CFormula:
-    itn = cache.interner
-    key = ("psi0base", params.n, ip, x)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    n = params.n
-    y = _fresh({x})
-    aux = _fresh({x, y})
-    # The degree disjunction starts at i' (the node is a leaf exactly when
-    # every successor's in-degree is at least i'); see the build decisions
-    # ledger, entry "psi0-degree-range".
-    degs = [deg_formula(d, y, aux, itn) for d in range(ip, n + 1)]
-    f = mk_and([
-        mk_atom("P0", (x,), itn),
-        mk_forall(y, mk_or([mk_not(mk_atom("E", (x, y), itn), itn),
-                            mk_or(degs, itn)], itn), itn),
-    ], itn)
-    return cache.put(key, f)
-
-
-def psi_t0(h: int, ip: int, params: CompileParams, x: str = "x", *,
+@_family
+def psi_t0(n: int, h: int, ip: int, x: str, *,
            cache: FormulaCache) -> CFormula:
     """Type-0 family: (x, ip) lies in X, verifiable in h recursion steps."""
     itn = cache.interner
-    key = ("psi0", params.n, h, ip, x)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if ip <= 0:
-        return cache.put(key, mk_bool(False, itn))
-    n = params.n
-    base = _psi0_base(ip, params, x, cache)
+        return mk_bool(False, itn)
+    y = _fresh({x})
     if h == 0:
-        f = base
-    else:
-        y = _fresh({x})
-        options = [
-            mk_and([
-                path_formula(h, ip, l, params, x, y, cache=cache),
-                children_t0(h - 1, l, c, params, y, cache=cache),
-                psi_t1(h - 1, ip, l, c, params, x, y, cache=cache),
-            ], itn)
-            # l = ip is the degenerate split at (x, ip) itself: the path
-            # collapses to x = y and the type-1 conjunct to P_c(x), giving
-            # the direct child-count check; without it the type-1 family
-            # never reaches its diagonal base case (ledger entry
-            # "psi-ell-range")
-            for l in range(1, ip + 1)
-            for c in range(0, n + 1)
-        ]
-        f = mk_or([base, mk_exists(y, mk_or(options, itn), itn)], itn)
-    return cache.put(key, f)
+        aux = _fresh({x, y})
+        # The degree disjunction starts at i': the node is a leaf exactly
+        # when every successor's in-degree is at least i'.
+        degs = [deg_formula(d, y, aux, itn) for d in range(ip, n + 1)]
+        return mk_and([
+            mk_atom("P0", (x,), itn),
+            mk_forall(y, mk_or([mk_not(mk_atom("E", (x, y), itn), itn),
+                                mk_or(degs, itn)], itn), itn),
+        ], itn)
+    base = psi_t0(n, 0, ip, x, cache=cache)
+    options = [
+        mk_and([
+            path_formula(n, h, ip, l, x, y, cache=cache),
+            children_t0(n, h - 1, l, c, y, cache=cache),
+            psi_t1(n, h - 1, ip, l, c, x, y, cache=cache),
+        ], itn)
+        # l = ip is the degenerate split at (x, ip) itself: the path
+        # collapses to x = y and the type-1 conjunct to P_c(x), giving the
+        # direct child-count check; without it the type-1 family never
+        # reaches its diagonal base case
+        for l in range(1, ip + 1)
+        for c in range(0, n + 1)
+    ]
+    return mk_or([base, mk_exists(y, mk_or(options, itn), itn)], itn)
 
 
-def children_t0(h: int, l: int, c: int, params: CompileParams, y: str = "y",
-                *, cache: FormulaCache) -> CFormula:
+@_family
+def children_t0(n: int, h: int, l: int, c: int, y: str, *,
+                cache: FormulaCache) -> CFormula:
     """(y, l) admits exactly c type-0 children inside X."""
     itn = cache.interner
-    key = ("child0", params.n, h, l, c, y)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    n = params.n
     z = _fresh({y})
     aux = _fresh({y, z})
     per_d = [
         mk_and([deg_formula(d, z, aux, itn),
-                psi_t0(h, (l - 1) // d, params, z, cache=cache)], itn)
+                psi_t0(n, h, (l - 1) // d, z, cache=cache)], itn)
         for d in range(1, n + 1)
     ]
     body = mk_and([mk_atom("E", (y, z), itn), mk_or(per_d, itn)], itn)
-    return cache.put(key, mk_count(EQN, c, z, body, itn))
+    return mk_count(EQN, c, z, body, itn)
 
 
-def psi_t1(h: int, ip: int, j: int, c: int, params: CompileParams,
-           x: str = "x", y: str = "y", *,
+@_family
+def psi_t1(n: int, h: int, ip: int, j: int, c: int, x: str, y: str, *,
            cache: FormulaCache) -> CFormula:
     """Type-1 family: (x, ip) lies in X, verifiable in h steps while
     stopping at the waypoint (y, j), assumed to have exactly c in-X
     children."""
     itn = cache.interner
-    key = ("psi1", params.n, h, ip, j, c, x, y)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if ip <= 0 or j <= 0:
-        return cache.put(key, mk_bool(False, itn))
-    n = params.n
-    if ip == j:
-        base = mk_and([mk_atom(f"P{c}", (x,), itn), mk_eq(x, y, itn)], itn) \
-            if c <= n else mk_bool(False, itn)
+        return mk_bool(False, itn)
+    if ip == j and c <= n:
+        base = mk_and([mk_atom(f"P{c}", (x,), itn), mk_eq(x, y, itn)], itn)
     else:
         base = mk_bool(False, itn)
     if h == 0:
-        f = base
-    else:
-        z = _fresh({x, y})
-        options = [
-            mk_and([
-                path_formula(h, ip, l, params, x, z, cache=cache),
-                path_formula(h, l, j, params, z, y, cache=cache),
-                children_t1(h - 1, l, j, c, cp, params, z, y, cache=cache),
-                psi_t1(h - 1, ip, l, cp, params, x, z, cache=cache),
-            ], itn)
-            # l = ip reaches the diagonal base case via the degenerate
-            # split at (x, ip) itself (ledger entry "psi-ell-range")
-            for l in range(j + 1, ip + 1)
-            for cp in range(0, n + 1)
-        ]
-        f = mk_or([base, mk_exists(z, mk_or(options, itn), itn)], itn)
-    return cache.put(key, f)
+        return base
+    z = _fresh({x, y})
+    options = [
+        mk_and([
+            path_formula(n, h, ip, l, x, z, cache=cache),
+            path_formula(n, h, l, j, z, y, cache=cache),
+            children_t1(n, h - 1, l, j, c, cp, z, y, cache=cache),
+            psi_t1(n, h - 1, ip, l, cp, x, z, cache=cache),
+        ], itn)
+        # l = ip reaches the diagonal base case via the degenerate split at
+        # (x, ip) itself
+        for l in range(j + 1, ip + 1)
+        for cp in range(0, n + 1)
+    ]
+    return mk_or([base, mk_exists(z, mk_or(options, itn), itn)], itn)
 
 
-def children_t1(h: int, l: int, j: int, c: int, cp: int,
-                params: CompileParams, z: str = "z", y: str = "y", *,
-                cache: FormulaCache) -> CFormula:
+@_family
+def children_t1(n: int, h: int, l: int, j: int, c: int, cp: int, z: str,
+                y: str, *, cache: FormulaCache) -> CFormula:
     """(z, l) admits exactly cp children inside X, given that the waypoint
     (y, j) has exactly c; children above the waypoint recurse as type 1,
     the rest as type 0."""
     itn = cache.interner
-    key = ("child1", params.n, h, l, j, c, cp, z, y)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    n = params.n
     zp = _fresh({z, y})
     aux = _fresh({z, y, zp})
     per_d = []
     for d in range(1, n + 1):
         lnext = (l - 1) // d
-        above = path_formula(h, lnext, j, params, zp, y, cache=cache)
+        above = path_formula(n, h, lnext, j, zp, y, cache=cache)
         branch = mk_or([
-            mk_and([psi_t0(h, lnext, params, zp, cache=cache),
+            mk_and([psi_t0(n, h, lnext, zp, cache=cache),
                     mk_not(above, itn)], itn),
-            mk_and([psi_t1(h, lnext, j, c, params, zp, y, cache=cache),
+            mk_and([psi_t1(n, h, lnext, j, c, zp, y, cache=cache),
                     above], itn),
         ], itn)
-        per_d.append(mk_and([deg_formula(d, zp, aux, itn),
-                             branch], itn))
+        per_d.append(mk_and([deg_formula(d, zp, aux, itn), branch], itn))
     body = mk_and([mk_atom("E", (z, zp), itn), mk_or(per_d, itn)], itn)
-    return cache.put(key, mk_count(EQN, cp, zp, body, itn))
+    return mk_count(EQN, cp, zp, body, itn)
 
 
 def compile_x_formula(params: CompileParams, i: int, x: str = "x", *,
@@ -322,7 +294,29 @@ def compile_x_formula(params: CompileParams, i: int, x: str = "x", *,
         raise RangeViolation(
             f"resource {i} not in [1, {(params.n + 1) ** params.r}]"
         )
-    return psi_t0(params.H, i, params, x, cache=cache)
+    return psi_t0(params.n, params.H, i, x, cache=cache)
+
+
+def check_against_oracle(params: CompileParams, instances,
+                         cache: FormulaCache) -> tuple[int, list[dict]]:
+    """Evaluate phi_1..phi_{n+1} at every vertex of every (graph,
+    condition) instance, encoded for size bound n, and compare with
+    compute_X. Returns the number of checks and the disagreements."""
+    formulas = {i: compile_x_formula(params, i, cache=cache)
+                for i in range(1, params.n + 2)}
+    checked = 0
+    mismatches = []
+    for idx, (g, c) in enumerate(instances):
+        ev = TableEvaluator(encode_tau_n(g, c, params.n))
+        inst = XInstance(g, c)
+        for i, f in formulas.items():
+            for v in range(g.n):
+                got, want = ev.eval(f, {"x": v}), compute_X(inst, v, i)
+                if got != want:
+                    mismatches.append({"instance": idx, "v": v, "i": i,
+                                       "compiled": got, "oracle": want})
+        checked += len(formulas) * g.n
+    return checked, mismatches
 
 
 def formula_stats(f: CFormula) -> dict:
@@ -440,7 +434,8 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
     exactly q_s classes of size s satisfy a class-invariant test iff
     exactly s*q_s elements satisfy it conjoined with "my class has size
     s". This assumes the equality formula defines a genuine equivalence
-    relation (see the build decisions ledger, entry "class-counting").
+    relation: otherwise the classes are not disjoint and the sizes do not
+    add up.
     """
     itn = cache.interner
     if f.kind != LREC:
@@ -495,11 +490,11 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
     memo: dict[int, CFormula] = {}
     for node in nodes(phi_x):
         kind = node.kind
-        if kind == "bool":
+        if kind == BOOL:
             out = node
-        elif kind == "eq":
+        elif kind == EQ:
             out = psi(eq_f, *node.vars)
-        elif kind == "atom":
+        elif kind == ATOM:
             if node.symbol == "E":
                 a, b = node.vars
                 out = mk_exists(s1, mk_exists(s2, mk_and(
@@ -518,13 +513,13 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
                     [psi(eq_f, s1, a), mk_or(variants, itn)], itn), itn)
             else:
                 raise MalformedInput(f"unexpected symbol {node.symbol!r}")
-        elif kind == "not":
+        elif kind == NOT:
             out = mk_not(memo[node.children[0].nid], itn)
-        elif kind == "or":
+        elif kind == OR:
             out = mk_or([memo[c.nid] for c in node.children], itn)
-        elif kind == "and":
+        elif kind == AND:
             out = mk_and([memo[c.nid] for c in node.children], itn)
-        elif kind == "count":
+        elif kind == COUNT:
             child = memo[node.children[0].nid]
             z = node.bound_var
             # "exactly qs classes of size s": one term per distinct (s, qs)

@@ -42,38 +42,38 @@ def maxcliques(g: Graph) -> tuple[frozenset[int], ...]:
     return tuple(sorted(out, key=sorted))
 
 
-def _consecutive_search(g: Graph, cliques, collect_all: bool):
+def _consecutive_search(g: Graph, cliques, collect_all: bool, first=None):
     """Backtracking over clique orders; a vertex's cliques must form one
     contiguous block. Returns the list of valid orders (or at most one
-    when collect_all is false)."""
+    when collect_all is false), only those opening with `first` if given."""
     if len(cliques) > MAX_CLIQUES:
         raise SizeExceeded(f"{len(cliques)} maxcliques exceed {MAX_CLIQUES}")
     results: list[tuple[frozenset[int], ...]] = []
-    order: list[frozenset[int]] = []
-    seen: set[int] = set()
-    closed: set[int] = set()
+    order: list[frozenset[int]] = [] if first is None else [first]
+    seen: set[int] = set().union(*order)
 
     def place(remaining: list[frozenset[int]]) -> bool:
         if not remaining:
             results.append(tuple(order))
             return not collect_all
         for idx, c in enumerate(remaining):
-            if c & closed:
+            rest = remaining[:idx] + remaining[idx + 1:]
+            # a vertex that c leaves behind may not come back later, so a
+            # branch dies as soon as a remaining clique holds one
+            left = seen - c
+            if any(d & left for d in rest):
                 continue
-            newly_closed = (seen - c) - closed
-            newly_seen = set(c) - seen
+            newly_seen = c - seen
             order.append(c)
             seen.update(newly_seen)
-            closed.update(newly_closed)
-            done = place(remaining[:idx] + remaining[idx + 1:])
-            closed.difference_update(newly_closed)
+            done = place(rest)
             seen.difference_update(newly_seen)
             order.pop()
             if done:
                 return True
         return False
 
-    place(list(cliques))
+    place([c for c in cliques if c not in order])
     return results
 
 
@@ -88,11 +88,14 @@ def is_interval(g: Graph) -> bool:
 
 
 def possible_ends(g: Graph) -> set[frozenset[int]]:
-    """Maxcliques that can open some consecutive ordering."""
-    orderings = consecutive_orderings(g)
-    if not orderings:
+    """Maxcliques that can open some consecutive ordering: one early-exit
+    search per maxclique, with that clique placed first."""
+    cliques = maxcliques(g)
+    ends = {m for m in cliques
+            if _consecutive_search(g, cliques, collect_all=False, first=m)}
+    if not ends:
         raise NotInterval("graph has no consecutive maxclique ordering")
-    return {order[0] for order in orderings}
+    return ends
 
 
 @dataclass

@@ -115,7 +115,9 @@ def distinguish(g: Graph, h: Graph, k: int, max_rounds: int) -> int | None:
     """Least round r <= max_rounds at which some color has different
     multiplicity in g and h (round 0 = atomic types), or None.
 
-    The two graphs are refined jointly so color ids are comparable.
+    The two graphs are refined jointly so color ids are comparable. A round
+    only splits classes, so once the joint class count stops changing the
+    partition is final, and so are both multisets: the answer is None.
     """
     _check_k(k)
     if g.n != h.n:
@@ -123,6 +125,7 @@ def distinguish(g: Graph, h: Graph, k: int, max_rounds: int) -> int | None:
     cg, ch = _dense_ids([_initial_signatures(g, k), _initial_signatures(h, k)])
     if _multiset(cg) != _multiset(ch):
         return 0
+    classes = len(set(cg.values()) | set(ch.values()))
     for r in range(1, max_rounds + 1):
         cg, ch = _dense_ids([
             _refined_signatures(g, k, cg),
@@ -130,4 +133,8 @@ def distinguish(g: Graph, h: Graph, k: int, max_rounds: int) -> int | None:
         ])
         if _multiset(cg) != _multiset(ch):
             return r
+        joint = len(set(cg.values()) | set(ch.values()))
+        if joint == classes:
+            return None
+        classes = joint
     return None

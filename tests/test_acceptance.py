@@ -21,8 +21,13 @@ from helpers import (
 )
 from lrec_battery import BATTERY, run_battery
 from lreckit.balancer import build_tree, check_tree
-from lreckit.cformula import TableEvaluator, dag_size, nvars, qdepth
-from lreckit.compile import CompileParams, FormulaCache, compile_x_formula
+from lreckit.cformula import dag_size, nvars, qdepth
+from lreckit.compile import (
+    CompileParams,
+    FormulaCache,
+    check_against_oracle,
+    compile_x_formula,
+)
 from lreckit.corpus import all_conditions, enumerate_rooted_dags, generate_corpus
 from lreckit.dagstats import awt_restricted, weights
 from lreckit.intervals import (
@@ -34,7 +39,7 @@ from lreckit.intervals import (
 )
 from lreckit.structures import Graph, reachable_closure
 from lreckit.wl import distinguish
-from lreckit.xfix import XInstance, build_H, compute_X, encode_tau_n
+from lreckit.xfix import XInstance, build_H
 
 import test_wl as wl_helpers
 
@@ -58,38 +63,22 @@ def test_criterion_1_worked_example_exact():
            f"5 memberships, {elapsed:.3f}s")
 
 
-def _sweep_instance(g, c, params, cache, mismatches):
-    s = encode_tau_n(g, c, params.n)
-    ev = TableEvaluator(s)
-    inst = XInstance(g, c)
-    count = 0
-    for i in range(1, params.n + 2):
-        f = compile_x_formula(params, i, cache=cache)
-        for v in range(g.n):
-            count += 1
-            if ev.eval(f, {"x": v}) != compute_X(inst, v, i):
-                mismatches.append((g, c, v, i))
-    return count
-
-
 def test_criterion_2_compiler_oracle_equivalence():
     t0 = time.time()
     cache = FormulaCache()
     mismatches = []
     checked = instances = 0
-    params3 = CompileParams(3, 1)
-    for g in enumerate_rooted_dags(3):
-        for c in all_conditions(g):
-            instances += 1
-            checked += _sweep_instance(g, c, params3, cache, mismatches)
-    random_instances = [
+    corpora = [
+        (CompileParams(3, 1), [(g, c) for g in enumerate_rooted_dags(3)
+                               for c in all_conditions(g)]),
         (CompileParams(4, 1), generate_corpus(1201, 4, 140)),
         (CompileParams(5, 1), generate_corpus(1202, 5, 60)),
     ]
-    for params, corpus in random_instances:
-        for g, c in corpus:
-            instances += 1
-            checked += _sweep_instance(g, c, params, cache, mismatches)
+    for params, corpus in corpora:
+        instances += len(corpus)
+        count, found = check_against_oracle(params, corpus, cache)
+        checked += count
+        mismatches += found
     elapsed = time.time() - t0
     report(2, "compiler-oracle equivalence",
            not mismatches and elapsed < 600,

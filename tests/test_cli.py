@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,6 @@ def run(args, out):
         return code, json.load(fh)
 
 
-@pytest.mark.filterwarnings("ignore:counts")
 def test_oracle(files):
     code, doc = run(
         ["oracle", files["g.json"], "--cond", files["c.json"], "--max-i", "3"],
@@ -143,7 +143,10 @@ STRUCTURES = {
     "n-bool.json": '{"n": true, "rels": {"E": [[0, 0]]}}',
     "id-bool.json": '{"n": 2, "rels": {"E": [[0, true]]}}',
     "three.json": '{"n": 3, "rels": {"E": [[0, 1]]}}',
+    "dup.json": '{"n": 2, "rels": {"E": [[0, 1], [0, 1]]}}',
 }
+DUP_WARNING = {"category": "UserWarning",
+               "message": "duplicate tuples in relation 'E' were deduplicated"}
 
 # refused before any enumeration: 4**9 iota tuples per class, 3**13 cells
 NINE_IOTAS = ["lrec-eval", "three.json", "--sexpr",
@@ -194,6 +197,7 @@ WIDE_ATOM = ["eval", "three.json", "--sexpr",
     (["stats", "id-bool.json"], "MalformedInput"),
     (NINE_IOTAS, "SizeExceeded"),
     (WIDE_ATOM, "ArityMismatch"),
+    (["eval", "dup.json", "--sexpr", "(atom E x y)"], "UnboundVariable"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
@@ -208,7 +212,22 @@ def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
+    # the one input that raises a warning reports it inside the error object
+    warned = [DUP_WARNING] if any(a.endswith("dup.json") for a in argv) else []
+    assert err.pop("warnings", []) == warned
     assert err["error"] == error and set(err) == {"error", "message"}
+
+
+def test_warnings_ride_along_in_the_result(tmp_path, capsys):
+    dup = tmp_path / "dup.json"
+    dup.write_text(STRUCTURES["dup.json"])
+    argv = ["eval", str(dup), "--sexpr", "(atom E x y)",
+            "--assign", '{"x": 0, "y": 1}']
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"result": True,
+                                        "warnings": [DUP_WARNING]}
 
 
 def _nest(command, open_, close, inner, assign):
@@ -380,12 +399,28 @@ def test_cli_error_contract_holds_for_generated_inputs(
     if assign is not None:
         argv.append(f"--assign={assign}")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # a warning that escapes main, instead of riding in its JSON, is raised
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
-        assert set(json.loads(err.getvalue())) == {"error", "message"}
+        keys = set(json.loads(err.getvalue()))
+        assert keys - {"warnings"} == {"error", "message"}
+
+
+def test_interval_on_twelve_disjoint_edges_is_fast(tmp_path, capsys):
+    # 12 maxcliques: 12! consecutive orderings, each clique opens one
+    g = tmp_path / "edges.json"
+    g.write_text(json.dumps(
+        {"n": 24, "rels": {"E": [[2 * j, 2 * j + 1] for j in range(12)]}}))
+    started = time.perf_counter()
+    assert main(["interval", str(g)]) == 0
+    assert time.perf_counter() - started < 2.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["possible_ends"] == [[2 * j, 2 * j + 1] for j in range(12)]
 
 
 def test_byte_identical_reruns(files, tmp_path):

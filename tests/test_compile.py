@@ -1,8 +1,14 @@
 import pytest
 
 from helpers import FIG1_IN_X, FIG1_NOT_IN_X, fig1_instance
-from lreckit.cformula import Interner, TableEvaluator, nodes, nvars, qdepth
-from lreckit.compile import CompileParams, FormulaCache, compile_x_formula, formula_stats
+from lreckit.cformula import Interner, TableEvaluator, dag_size, nodes, nvars, qdepth
+from lreckit.compile import (
+    CompileParams,
+    FormulaCache,
+    check_against_oracle,
+    compile_x_formula,
+    formula_stats,
+)
 from lreckit.corpus import generate_corpus
 from lreckit.errors import MalformedInput, RangeViolation
 from lreckit.xfix import XInstance, compute_X, encode_tau_n
@@ -44,16 +50,23 @@ def test_full_sweep_on_worked_example():
 
 
 def test_random_instances_agree_with_oracle():
-    params = CompileParams(4, 1)
+    checked, mismatches = check_against_oracle(
+        CompileParams(4, 1), generate_corpus(31, 4, 12), FormulaCache())
+    assert checked > 0 and mismatches == []
+
+
+@pytest.mark.parametrize("n, r, i, dag, qd, nv, interned", [
+    (3, 1, 4, 2473, 16, 4, 3120),
+    (4, 1, 5, 8300, 20, 4, 10678),
+    (5, 1, 6, 24725, 23, 4, 31072),
+    (2, 2, 9, 45203, 26, 4, 49229),
+])
+def test_compiled_shape_is_pinned(n, r, i, dag, qd, nv, interned):
+    # measured when each family still kept its own get/put block
     cache = FormulaCache()
-    formulas = {i: compile_x_formula(params, i, cache=cache) for i in range(1, 6)}
-    for g, c in generate_corpus(31, 4, 12):
-        s = encode_tau_n(g, c, 4)
-        ev = TableEvaluator(s)
-        inst = XInstance(g, c)
-        for i, f in formulas.items():
-            for v in range(g.n):
-                assert ev.eval(f, {"x": v}) == compute_X(inst, v, i), (v, i)
+    f = compile_x_formula(CompileParams(n, r), i, cache=cache)
+    assert (dag_size(f), qdepth(f), nvars(f), len(cache.interner)) == (
+        dag, qd, nv, interned)
 
 
 def test_out_of_range_resource_rejected():
@@ -105,6 +118,18 @@ def test_cache_isolation_and_reuse():
     from lreckit.cformula import print_sexpr
 
     assert print_sexpr(other) == print_sexpr(f1)
+
+
+def test_one_cache_serves_both_resource_widths():
+    # the families are keyed on n alone, so r = 2 reuses what r = 1 built
+    shared = FormulaCache()
+    compile_x_formula(CompileParams(2, 1), 3, cache=shared)
+    before = len(shared)
+    f = compile_x_formula(CompileParams(2, 2), 3, cache=shared)
+    fresh = FormulaCache()
+    g = compile_x_formula(CompileParams(2, 2), 3, cache=fresh)
+    assert len(shared) - before < len(fresh)
+    assert dag_size(f) == dag_size(g)
 
 
 def test_query_variable_name_is_configurable():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import H8_MAXCLIQUES, cycle_graph, h8, path_graph
+from helpers import H8_MAXCLIQUES, cycle_graph, disjoint_union, h8, path_graph
 from lreckit.errors import NotAMaxclique, NotInterval, SizeExceeded
 from lreckit.intervals import (
     consecutive_orderings,
@@ -96,6 +96,14 @@ def test_possible_ends():
     assert (0, 1, 2, 3) in ends and (0, 1, 4, 5) in ends
     with pytest.raises(NotInterval):
         possible_ends(cycle_graph(4))
+    # 12 maxcliques each: the end cliques of every path, and nothing else
+    p7s = disjoint_union(path_graph(7), path_graph(7))
+    assert sorted(map(sorted, possible_ends(p7s))) == [
+        [0, 1], [5, 6], [7, 8], [12, 13]]
+    p3s = path_graph(3)
+    for _ in range(5):
+        p3s = disjoint_union(p3s, path_graph(3))
+    assert possible_ends(p3s) == set(maxcliques(p3s))
 
 
 def test_ordering_reversal_and_first_element():

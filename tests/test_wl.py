@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -123,3 +124,24 @@ def test_logic_to_refinement_transfer():
     for g, h, depth in sample_distinguished_pairs(97, 55):
         rounds = distinguish(g, h, 1, depth)
         assert rounds is not None and rounds <= depth
+
+
+def test_rounds_beyond_stabilisation_change_nothing():
+    # the answer depends on max_rounds only up to the round where the joint
+    # partition stops splitting; n ** k + 1 rounds always reach it
+    rng = random.Random(5)
+    for _ in range(40):
+        n, k = rng.randint(2, 6), rng.choice((1, 2))
+        g, h = random_graph(rng, n), random_graph(rng, n)
+        settled = distinguish(g, h, k, n ** k + 1)
+        for max_rounds in range(0, n ** k + 2):
+            want = settled if settled is not None and settled <= max_rounds \
+                else None
+            assert distinguish(g, h, k, max_rounds) == want
+    # an isomorphic 12-vertex pair: a million allowed rounds cost what the
+    # few until stabilisation cost
+    g = path_graph(12)
+    h = Graph(12, frozenset((11 - u, 11 - v) for u, v in g.edges))
+    started = time.perf_counter()
+    assert distinguish(g, h, 2, 10 ** 6) is None
+    assert time.perf_counter() - started < 2.0
