@@ -9,6 +9,7 @@ height at 2*log2(awt).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dagstats import awt_restricted, restricted, weights
@@ -42,24 +43,53 @@ class DecompNode:
 
 @dataclass
 class DecompTree:
+    """A decomposition tree. build_tree shares one node object among all
+    parents with the same (v, W, limit), so the tree is stored as a DAG
+    that can be exponentially smaller than the tree it expands to."""
+
     root: DecompNode
     graph: DiGraph
 
-    def height(self) -> int:
+    def _fold(self, combine: Callable[[list[int]], int]) -> int:
+        """combine(the children's values), computed once per distinct node."""
+        memo: dict[int, int] = {}
+
         def go(node: DecompNode) -> int:
-            if not node.children:
-                return 0
-            return 1 + max(go(c) for c in node.children)
+            key = id(node)
+            if key not in memo:
+                memo[key] = combine([go(c) for c in node.children])
+            return memo[key]
 
         return go(self.root)
 
+    def height(self) -> int:
+        return self._fold(lambda heights: 1 + max(heights) if heights else 0)
+
+    def tree_size(self) -> int:
+        """len(self.nodes()), counted without expanding the tree."""
+        return self._fold(lambda sizes: 1 + sum(sizes))
+
     def nodes(self) -> list[DecompNode]:
+        """Every node of the expanded tree, shared nodes once per parent."""
         out = []
         stack = [self.root]
         while stack:
             node = stack.pop()
             out.append(node)
             stack.extend(node.children)
+        return out
+
+    def distinct_nodes(self) -> list[DecompNode]:
+        """Each distinct node once, in the order nodes() first lists it."""
+        out = []
+        seen: set[int] = set()
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                out.append(node)
+                stack.extend(node.children)
         return out
 
 
@@ -253,7 +283,9 @@ def check_tree(g: DiGraph, tree: DecompTree) -> CheckReport:
     def area(node: DecompNode) -> int:
         return cache.awt(node.v, node.w_set)
 
-    for node in tree.nodes():
+    # every condition is local to a node, so each distinct node is checked
+    # once
+    for node in tree.distinct_nodes():
         if len(node.w_set) > 1:
             fail("waypoint_at_most_one", f"node ({node.v}, {sorted(node.w_set)})")
         should_be_leaf = (

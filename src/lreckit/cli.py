@@ -22,8 +22,9 @@ from .structures import parse_digraph, parse_graph, parse_structure
 from .xfix import XInstance, compute_X, parse_cardinality
 
 
-# compile refuses to print a formula whose expanded tree is larger: the
-# printer writes every node of the tree, so output grows with tree_size.
+# compile and decompose refuse to print a formula or a decomposition tree
+# whose expanded tree is larger: both share subtrees in memory, but the
+# printer writes every node of the expanded tree.
 MAX_PRINTED_NODES = 20_000_000
 
 
@@ -132,6 +133,11 @@ def cmd_verify(args):
 def cmd_decompose(args):
     g = parse_digraph(_read(args.graph))
     tree = balancer.build_tree(g)
+    size = tree.tree_size()
+    if size > MAX_PRINTED_NODES:
+        raise SizeExceeded(
+            f"the decomposition tree expands to {size} nodes when printed;"
+            f" at most {MAX_PRINTED_NODES} are printed")
     report = balancer.check_tree(g, tree)
     return {
         "tree": tree.root.to_dict(),
@@ -150,14 +156,12 @@ def cmd_wl(args):
     g = parse_graph(_read(args.graph1))
     h = parse_graph(_read(args.graph2))
     rounds = wl.distinguish(g, h, args.k, args.max_rounds)
-    stable_g, _ = wl.refine_to_stable(g, args.k)
-    stable_h, _ = wl.refine_to_stable(h, args.k)
     return {
         "distinguished": rounds is not None,
         "rounds": rounds,
         "class_sizes_per_round": {
-            "g": stable_g.history,
-            "h": stable_h.history,
+            "g": wl.class_counts(g, args.k),
+            "h": wl.class_counts(h, args.k),
         },
     }, 0
 

@@ -50,6 +50,13 @@ H8_MAXCLIQUES = [
 DIAMOND = DiGraph(4, frozenset({(0, 1), (0, 2), (1, 3), (2, 3)}), root=0)
 
 
+def band(n: int) -> DiGraph:
+    """The rooted DAG u -> u+1, u+2 on n vertices: few distinct
+    decomposition nodes, exponentially many once expanded into a tree."""
+    return DiGraph(n, frozenset((u, w) for u in range(n)
+                                for w in (u + 1, u + 2) if w < n), root=0)
+
+
 def path_graph(n: int) -> Graph:
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 

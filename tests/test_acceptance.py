@@ -31,6 +31,7 @@ from lreckit.compile import (
 from lreckit.corpus import all_conditions, enumerate_rooted_dags, generate_corpus
 from lreckit.dagstats import awt_restricted, weights
 from lreckit.intervals import (
+    _connected,
     is_interval,
     is_interval_oracle,
     is_module,
@@ -223,7 +224,7 @@ def test_criterion_9_interval_suite():
     incomparable_ok = (a, b) not in rel.pairs and (b, a) not in rel.pairs
     agree = disagreements = 0
     for n in range(1, 7):
-        for graph in _connected(n):
+        for graph in _connected_graphs(n):
             agree += 1
             if is_interval(graph) != is_interval_oracle(graph):
                 disagreements += 1
@@ -236,18 +237,9 @@ def test_criterion_9_interval_suite():
            f"{disagreements} disagreements, {elapsed:.1f}s")
 
 
-def _connected(n):
+def _connected_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for bits in itertools.product((False, True), repeat=len(pairs)):
-        edges = frozenset(p for p, keep in zip(pairs, bits) if keep)
-        g = Graph(n, edges)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in g.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) == n:
+        g = Graph(n, frozenset(p for p, keep in zip(pairs, bits) if keep))
+        if _connected(g):
             yield g

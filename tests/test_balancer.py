@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from helpers import DIAMOND
+from helpers import DIAMOND, band
 from lreckit.balancer import (
     DecompNode,
     DecompTree,
@@ -72,6 +74,28 @@ def test_diamond_tree_shape():
     assert 2 ** tree.height() <= 25
     assert tree.root.w_set == frozenset()
     assert tree.root.node_type == 0
+
+
+def test_shared_nodes_are_checked_once():
+    # build_tree shares nodes: the 40-vertex band has 117 distinct nodes
+    # and 191,916,275 in the expanded tree
+    g = band(40)
+    started = time.perf_counter()
+    tree = build_tree(g)
+    report = check_tree(g, tree)
+    assert report.all_pass(), report.witnesses
+    assert tree.tree_size() == 191_916_275
+    assert len(tree.distinct_nodes()) == 117
+    assert time.perf_counter() - started < 2.0
+    small = build_tree(band(12))
+    assert small.tree_size() == len(small.nodes())
+    assert small.height() == max(_depths(small.root))
+
+
+def _depths(node, depth=0):
+    yield depth
+    for child in node.children:
+        yield from _depths(child, depth + 1)
 
 
 def test_checker_flags_oversized_waypoint_set():

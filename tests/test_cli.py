@@ -8,6 +8,14 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import (
+    DIAMOND,
+    band,
+    cycle_graph,
+    disjoint_union,
+    h8,
+    path_graph,
+)
 from lreckit.cformula import MAX_NESTING
 from lreckit.cli import main
 
@@ -16,6 +24,10 @@ COND = '{"C": {"0": [0,2,3], "1": [0,1], "2": [3]}}'
 P4 = '{"n": 4, "rels": {"E": [[0,1],[1,2],[2,3]]}}'
 K13 = '{"n": 4, "rels": {"E": [[0,1],[0,2],[0,3]]}}'
 DAG = '{"n": 4, "rels": {"E": [[0,1],[0,2],[1,3],[2,3]]}, "root": 0}'
+
+
+def graph_json(g):
+    return json.dumps({"n": g.n, "rels": {"E": sorted(map(list, g.edges))}})
 
 
 @pytest.fixture
@@ -144,6 +156,8 @@ STRUCTURES = {
     "id-bool.json": '{"n": 2, "rels": {"E": [[0, true]]}}',
     "three.json": '{"n": 3, "rels": {"E": [[0, 1]]}}',
     "dup.json": '{"n": 2, "rels": {"E": [[0, 1], [0, 1]]}}',
+    "band40.json": band(40).to_json(),
+    "empty33.json": '{"n": 33, "rels": {"E": []}}',
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -198,6 +212,10 @@ WIDE_ATOM = ["eval", "three.json", "--sexpr",
     (NINE_IOTAS, "SizeExceeded"),
     (WIDE_ATOM, "ArityMismatch"),
     (["eval", "dup.json", "--sexpr", "(atom E x y)"], "UnboundVariable"),
+    # 191,916,275 nodes once expanded, from 117 distinct ones
+    (["decompose", "band40.json"], "SizeExceeded"),
+    # 33 ** 3 triples, each refined over 33 substitutions a round
+    (["wl", "empty33.json", "empty33.json", "--k", "3"], "SizeExceeded"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
@@ -430,6 +448,20 @@ def test_byte_identical_reruns(files, tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+# the input files that GOLDEN commands name; P4 + P5 against P3 + P6 needs
+# two rounds of 1-dimensional refinement
+GOLDEN_INPUTS = {
+    "p4.json": P4,
+    "k13.json": K13,
+    "c6.json": graph_json(cycle_graph(6)),
+    "cc3.json": graph_json(disjoint_union(cycle_graph(3), cycle_graph(3))),
+    "p4p5.json": graph_json(disjoint_union(path_graph(4), path_graph(5))),
+    "p3p6.json": graph_json(disjoint_union(path_graph(3), path_graph(6))),
+    "band20.json": band(20).to_json(),
+    "diamond.json": DIAMOND.to_json(),
+    "h8.json": graph_json(h8()),
+}
+
 # SHA-256 of the stdout bytes of fixed commands; any change to the JSON a
 # command prints, down to whitespace and key order, changes the digest.
 GOLDEN = [
@@ -445,11 +477,46 @@ GOLDEN = [
         ["verify", "--n", "4", "--seed", "7", "--count", "10"],
         "9f0d4c54639ece8c52ccc3c384d182eb18db7bb45313f0a568e20cd0717b6ce8",
         id="verify-n4-seed7-count10"),
+    pytest.param(
+        ["wl", "p4.json", "k13.json", "--k", "1"],
+        "40d7eab9a6bbb1f4aacf25b41199e528c01a95d7afd84cf8772b232fad836a8d",
+        id="wl-k1-p4-k13"),
+    pytest.param(
+        ["wl", "p4p5.json", "p3p6.json", "--k", "1", "--max-rounds", "1"],
+        "f1459c14bf4158e0b30f48736ddf616e0e9bf1183745834a240b7b9793c065b7",
+        id="wl-k1-not-within-max-rounds"),
+    pytest.param(
+        ["wl", "c6.json", "cc3.json", "--k", "2"],
+        "794b8f5d99eeed9bea0d64ba8ded6f978a12a04e83b21a80ded41d8704b7439a",
+        id="wl-k2-c6-cc3"),
+    pytest.param(
+        ["wl", "p4p5.json", "p3p6.json", "--k", "3"],
+        "24f7fe1874123280165e41f1ccedce194f7fa61f4cb1c4b545778af3d35235bf",
+        id="wl-k3-p4p5-p3p6"),
+    pytest.param(
+        ["decompose", "band20.json"],
+        "a32f6ef80c344a77b4db2e9d8961ad2e3b4beca7895e92899c41d92de38cf2b3",
+        id="decompose-band20"),
+    pytest.param(
+        ["decompose", "diamond.json"],
+        "f8f9ff87ad6d0621a9efab4137604c685af0d1a3debc855b5d07321f5bde43a7",
+        id="decompose-diamond"),
+    pytest.param(
+        ["interval", "h8.json"],
+        "be0a8aa5fdbf2db87e6a5a30864f5351a8f4a39df9f9d4bd87a5a1e086d70ea4",
+        id="interval-h8"),
+    pytest.param(
+        ["stats", "band20.json"],
+        "b287af4b7529ce0e4fd9632f5b58007796f2af8db08933703e49d300241fb3dc",
+        id="stats-band20"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN)
-def test_golden_output_bytes(argv, digest, capsys):
+def test_golden_output_bytes(argv, digest, tmp_path, capsys):
+    for name, text in GOLDEN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest

@@ -5,10 +5,11 @@ import time
 import pytest
 
 from helpers import cycle_graph, disjoint_union, path_graph
+from lreckit import wl
 from lreckit.cformula import Interner, distinguishes, mk_and, mk_atom, mk_count
 from lreckit.errors import SizeMismatch, UnsupportedDimension
 from lreckit.structures import Graph
-from lreckit.wl import distinguish, initial_coloring, refine_to_stable
+from lreckit.wl import class_counts, distinguish, rounds
 
 
 def star(n):
@@ -42,25 +43,61 @@ def test_size_mismatch_rejected():
 def test_dimension_capped():
     with pytest.raises(UnsupportedDimension):
         distinguish(path_graph(3), path_graph(3), 9, 5)
+    # a bad dimension is named before a size mismatch
+    with pytest.raises(UnsupportedDimension):
+        distinguish(path_graph(3), path_graph(4), 9, 5)
 
 
 def test_refinement_is_monotone_and_stabilizes():
     g = disjoint_union(path_graph(4), cycle_graph(4))
-    coloring, rounds = refine_to_stable(g, 1)
-    sizes = coloring.history
+    sizes = class_counts(g, 1)
+    refinements = len(sizes) - 1
     assert sizes == sorted(sizes)
-    assert rounds <= g.n
+    assert refinements <= g.n
     # one extra round would not split further
     assert sizes[-1] == sizes[-2] if len(sizes) >= 2 else True
 
 
 def test_initial_coloring_classes():
     g = path_graph(3)
-    col1 = initial_coloring(g, 1)
-    assert len(set(col1.colors.values())) == 1
-    col2 = initial_coloring(g, 2)
+    (col1,) = next(rounds([g], 1))
+    assert len(set(col1)) == 1
+    (col2,) = next(rounds([g], 2))
     # atomic types: equal pair, edge pair, non-edge pair
-    assert len(set(col2.colors.values())) == 3
+    assert len(set(col2)) == 3
+
+
+def test_joint_rounds_keep_each_graphs_class_counts():
+    # a graph's partition does not depend on the graphs refined with it, so
+    # its counts in a joint run, up to their own first repeat, are its own
+    rng = random.Random(11)
+    for _ in range(60):
+        n, k = rng.randint(1, 6), rng.choice((1, 2, 3))
+        g, h = random_graph(rng, n), random_graph(rng, rng.randint(1, 6))
+        joint = list(rounds([g, h], k))
+        for i, graph in enumerate((g, h)):
+            counts = [len(set(colorings[i])) for colorings in joint]
+            repeat = next(r for r in range(1, len(counts))
+                          if counts[r] == counts[r - 1])
+            assert counts[:repeat + 1] == class_counts(graph, k)
+
+
+def test_no_round_past_max_rounds(monkeypatch):
+    # 1-dimensional refinement tells P4 + P5 from P3 + P6 at round 2 only
+    g = disjoint_union(path_graph(4), path_graph(5))
+    h = disjoint_union(path_graph(3), path_graph(6))
+    computed = []
+
+    def counted(graphs, k):
+        for r, colorings in enumerate(rounds(graphs, k)):
+            computed.append(r)
+            yield colorings
+
+    monkeypatch.setattr(wl, "rounds", counted)
+    for max_rounds, want in ((-1, None), (0, None), (1, None), (2, 2)):
+        computed.clear()
+        assert distinguish(g, h, 1, max_rounds) == want
+        assert computed == list(range(max(max_rounds, 0) + 1))
 
 
 def degree_sentence(c, d, itn):
