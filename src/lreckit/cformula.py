@@ -11,6 +11,9 @@ default.
 from __future__ import annotations
 
 import itertools
+import re
+from collections.abc import Callable
+from operator import mul
 from typing import Iterable
 
 from .errors import (
@@ -42,6 +45,9 @@ MAX_THRESHOLD = 1_000_000
 # deepest walk that stays recursive, LEvaluator on nested lrec forms, takes
 # about five frames a level and reaches the recursion limit near 200.
 MAX_NESTING = 150
+# TableEvaluator refuses to build a truth table with more cells than this:
+# a node's own table or a child's table read over its parent's variables.
+MAX_TABLE_CELLS = 2 ** 24
 
 # Node ids are unique per process, not per interner: memos and intern keys
 # built from nids never confuse nodes of two different interners.
@@ -64,6 +70,7 @@ class CFormula:
         "qdepth",
         "varnames",
         "free_vars",
+        "fv",
     )
 
     def __init__(self, kind, *, value=None, vars=(), symbol=None, children=(),
@@ -89,7 +96,8 @@ class CFormula:
 
 def _derive(node: CFormula) -> None:
     """Set the quantifier depth and variable sets of a new node from its
-    already interned children."""
+    already interned children. `fv` lists the free variables sorted: the
+    axes of the node's truth table."""
     kind, children = node.kind, node.children
     if kind in (BOOL, EQ, ATOM):
         node.qdepth = 0
@@ -105,6 +113,12 @@ def _derive(node: CFormula) -> None:
         node.free_vars = child.free_vars - {node.bound_var}
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    # most nodes have a child with the same free variables: share its tuple
+    for c in children:
+        if c.free_vars == node.free_vars:
+            node.fv = c.fv
+            return
+    node.fv = tuple(sorted(node.free_vars))
 
 
 class Interner:
@@ -341,73 +355,163 @@ def eval_formula(s: RelStructure, f: CFormula,
 
 
 class TableEvaluator:
-    """Bottom-up model checker: one flat truth table per interned node.
+    """Bottom-up model checker: one truth table per interned node.
 
-    A table lists the node's value under each assignment of its sorted
-    free variables in row-major order, n**k cells for k variables. Each
-    DAG node is processed once; sharing across queries (different
-    assignments, different roots over a common sub-DAG) is free.
+    A table is an int whose bit i is the node's value under the i-th
+    assignment of its sorted free variables `fv`, in row-major order (the
+    last variable varies fastest): n**k cells for k variables. NOT, AND
+    and OR are one int operation per child. Each DAG node is processed
+    once; sharing across queries (different assignments, different roots
+    over a common sub-DAG) is free.
     """
 
     def __init__(self, structure: RelStructure):
         self.structure = structure
-        self._memo: dict[int, tuple[tuple[str, ...], list[bool]]] = {}
-        self._index: dict[tuple, list[int]] = {}
+        self._memo: dict[int, int] = {}
+        self._readers: dict[tuple, Callable[[int], int]] = {}
+        self._masks: dict[int, int] = {}
 
-    def _reindex(self, cv: tuple, table: list, fv: tuple) -> list:
-        """Read `table`, over the variables `cv`, as a table over `fv` (a
-        superset). A repeated variable adds the weights of its positions."""
-        if cv == fv:
-            return table
-        idx = self._index.get((cv, fv))
-        if idx is None:
-            n = self.structure.n
-            idx = [0]
-            for v in fv:
-                w = sum(n ** p for p, u in enumerate(reversed(cv)) if u == v)
-                idx = [i + w * d for i in idx for d in range(n)]
-            self._index[(cv, fv)] = idx
-        return [table[i] for i in idx]
+    def _cells(self, k: int) -> int:
+        """n**k, the cells of a table over k variables, if it may be built."""
+        cells = self.structure.n ** k
+        if cells > MAX_TABLE_CELLS:
+            raise SizeExceeded(f"a table over {k} variables has {cells} cells;"
+                               f" at most {MAX_TABLE_CELLS} are built")
+        return cells
+
+    def _mask(self, k: int) -> int:
+        """All ones over the cells of a table over k variables."""
+        mask = self._masks.get(k)
+        if mask is None:
+            mask = self._masks[k] = (1 << self._cells(k)) - 1
+        return mask
+
+    def _reader(self, cv: tuple, fv: tuple) -> Callable[[int], int]:
+        """The function that reads a table over the sorted variables cv as
+        a table over fv, a sorted superset; built once per (cv, fv) pair.
+
+        Adding the variable at position p of fv copies n times each block
+        of cells over the variables after it: the blocks are spaced apart
+        (a binary string lists the cells last first), then copied by one
+        multiplication."""
+        n = self.structure.n
+        self._cells(len(fv))
+        steps = []
+        for p, v in enumerate(fv):
+            if v not in cv:
+                inner = n ** sum(u in cv for u in fv[p + 1:])
+                steps.append((
+                    f"0{n ** p * inner}b" if p else None,
+                    re.compile(f".{{{inner}}}") if inner > 1 else None,
+                    "0" * ((n - 1) * inner),
+                    ((1 << inner * n) - 1) // ((1 << inner) - 1)))
+        if len(steps) == 1 and steps[0][0] is None:
+            return steps[0][3].__mul__
+
+        def read(t):
+            for fmt, block, zeros, repeat in steps:
+                if fmt:
+                    bits = format(t, fmt)
+                    t = int(zeros.join(block.findall(bits) if block else bits),
+                            2)
+                t *= repeat
+            return t
+        return read
+
+    def _count(self, f: CFormula, t: int, cv: tuple) -> int:
+        """The table of the COUNT node f from its child's table t over cv."""
+        n, k = self.structure.n, len(f.fv)
+        width, mask = n ** k, self._mask(k)
+        if n == 1 or f.bound_var not in cv:
+            slices = [t] * n
+        elif cv[0] == f.bound_var:
+            slices = [t >> d * width & mask for d in range(n)]
+        else:
+            # blocks of cells with the bound variable at d, one in n
+            inner = n ** (len(cv) - 1 - cv.index(f.bound_var))
+            bits = format(t, f"0{n * width}b")
+            blocks = re.findall(f".{{{inner}}}", bits) if inner > 1 else bits
+            slices = [int("".join(blocks[n - 1 - d::n]), 2) for d in range(n)]
+        planes = []  # planes[i]: bit i of every cell's witness count
+        for carry in slices:
+            for i, plane in enumerate(planes):
+                planes[i], carry = plane ^ carry, plane & carry
+            if carry:
+                planes.append(carry)
+        tbl = 0
+        # no cell counts past what the planes hold
+        for count in range(min(n, (1 << len(planes)) - 1) + 1):
+            if _compare(count, f.mode, f.threshold):
+                hit = mask
+                for i, plane in enumerate(planes):
+                    hit &= plane if count >> i & 1 else ~plane
+                tbl |= hit
+        return tbl
+
+    def _leaf(self, f: CFormula) -> int:
+        n = self.structure.n
+        if f.kind == BOOL:
+            return int(f.value)
+        if f.kind == EQ:
+            if len(f.fv) == 1:
+                return self._mask(1)
+            self._cells(2)
+            return sum(1 << i * (n + 1) for i in range(n))  # the diagonal
+        # ATOM: one cell per assignment of the distinct variables, fv
+        _check_atom(f, self.structure)
+        fv, args = f.fv, f.vars
+        cells = self._cells(len(fv))
+        first = [args.index(v) for v in args]
+        weight = [n ** (len(fv) - 1 - fv.index(v)) if first[j] == j else 0
+                  for j, v in enumerate(args)]
+        bits = bytearray(b"0") * cells  # cells last first
+        for t in self.structure.rel(f.symbol):
+            if all([t[j] == t[i] for j, i in enumerate(first)]):
+                bits[cells - 1 - sum(map(mul, t, weight))] = ord("1")
+        return int(bits, 2)
+
+    def _tables(self, root: CFormula) -> int:
+        """Fill the memo for every node under root; root's table."""
+        memo, readers = self._memo, self._readers
+        # one element: every table is one cell, the same over any variables
+        wide = self.structure.n > 1
+        for f in nodes(root, memo):
+            kind, fv = f.kind, f.fv
+            if kind == AND or kind == OR:
+                conj = kind == AND
+                tbl = -1 if conj else 0
+                for c in f.children:
+                    t = memo[c.nid]
+                    if wide and c.fv != fv:
+                        read = readers.get((c.fv, fv))
+                        if read is None:
+                            read = readers[c.fv, fv] = self._reader(c.fv, fv)
+                        t = read(t)
+                    if conj:
+                        tbl &= t
+                    else:
+                        tbl |= t
+            elif kind == COUNT:
+                (c,) = f.children
+                tbl = self._count(f, memo[c.nid], c.fv)
+            elif kind == NOT:
+                tbl = memo[f.children[0].nid] ^ self._mask(len(fv))
+            else:
+                tbl = self._leaf(f)
+            memo[f.nid] = tbl
+        return memo[root.nid]
 
     def table(self, root: CFormula) -> tuple[tuple[str, ...], list[bool]]:
-        memo = self._memo
-        s = self.structure
-        n = s.n
-        for f in nodes(root, memo):
-            fv = tuple(sorted(f.free_vars))
-            if f.kind == BOOL:
-                tbl = [f.value]
-            elif f.kind == EQ:
-                cells = [a == b for a in range(n) for b in range(n)]
-                tbl = self._reindex(f.vars, cells, fv)
-            elif f.kind == ATOM:
-                # one cell per assignment of the distinct variables, fv
-                _check_atom(f, s)
-                rel = s.rel(f.symbol)
-                pos = [fv.index(v) for v in f.vars]
-                tbl = [tuple([t[p] for p in pos]) in rel for t in
-                       itertools.product(range(n), repeat=len(fv))]
-            elif f.kind == NOT:
-                tbl = [not v for v in memo[f.children[0].nid][1]]
-            elif f.kind in (OR, AND):
-                subs = [self._reindex(*memo[c.nid], fv) for c in f.children]
-                tbl = list(map(any if f.kind == OR else all, zip(*subs)))
-            elif f.kind == COUNT:
-                t = self._reindex(*memo[f.children[0].nid],
-                                  fv + (f.bound_var,))
-                tbl = [_compare(sum(t[i:i + n]), f.mode, f.threshold)
-                       for i in range(0, len(t), n)]
-            else:
-                raise AssertionError(f.kind)
-            memo[f.nid] = (fv, tbl)
-        return memo[root.nid]
+        """root's sorted free variables and its cells in row-major order."""
+        bits = format(self._tables(root), f"0{self._cells(len(root.fv))}b")
+        return root.fv, [b == "1" for b in reversed(bits)]
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:
         n = self.structure.n
         assignment = _checked_assignment(f, assignment, n)
-        fv, tbl = self.table(f)
-        return tbl[sum(assignment[v] * n ** p
-                       for p, v in enumerate(reversed(fv)))]
+        cell = sum(assignment[v] * n ** p
+                   for p, v in enumerate(reversed(f.fv)))
+        return bool(self._tables(f) >> cell & 1)
 
 
 def distinguishes(g: RelStructure, h: RelStructure, f: CFormula) -> bool:

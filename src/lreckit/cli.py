@@ -16,7 +16,7 @@ import warnings
 
 from . import balancer, compile as compiler, corpus, dagstats, intervals, wl
 from .cformula import Interner, TableEvaluator, parse_sexpr, print_sexpr
-from .errors import LreckitError, MalformedInput, SizeExceeded
+from .errors import LreckitError, MalformedInput, SizeExceeded, SizeMismatch
 from .lformula import TwoSortedAssignment, eval_lrec, parse_lsexpr
 from .structures import parse_digraph, parse_graph, parse_structure
 from .xfix import XInstance, compute_X, parse_cardinality
@@ -24,8 +24,12 @@ from .xfix import XInstance, compute_X, parse_cardinality
 
 # compile and decompose refuse to print a formula or a decomposition tree
 # whose expanded tree is larger: both share subtrees in memory, but the
-# printer writes every node of the expanded tree.
+# printer writes every node of the expanded tree. A decomposition node
+# becomes a dict and then about 700 bytes of indented JSON (the 1.56M nodes
+# of a 30-vertex band DAG wrote 1.09 GB at 3.6 GB peak RSS), so its cap is
+# lower; it admits the 24-vertex band DAG, 86,966 nodes.
 MAX_PRINTED_NODES = 20_000_000
+MAX_DECOMPOSED_NODES = 100_000
 
 
 def _read(path: str) -> str:
@@ -134,10 +138,10 @@ def cmd_decompose(args):
     g = parse_digraph(_read(args.graph))
     tree = balancer.build_tree(g)
     size = tree.tree_size()
-    if size > MAX_PRINTED_NODES:
+    if size > MAX_DECOMPOSED_NODES:
         raise SizeExceeded(
             f"the decomposition tree expands to {size} nodes when printed;"
-            f" at most {MAX_PRINTED_NODES} are printed")
+            f" at most {MAX_DECOMPOSED_NODES} are printed")
     report = balancer.check_tree(g, tree)
     return {
         "tree": tree.root.to_dict(),
@@ -155,14 +159,23 @@ def cmd_stats(args):
 def cmd_wl(args):
     g = parse_graph(_read(args.graph1))
     h = parse_graph(_read(args.graph2))
-    rounds = wl.distinguish(g, h, args.k, args.max_rounds)
+    # one joint refinement: round 0 is always compared, later rounds up to
+    # --max-rounds; each graph's history ends at its own first repeat
+    found, counts = None, ([], [])
+    for r, colorings in enumerate(wl.rounds([g, h], args.k)):
+        if g.n != h.n:  # after round 0 has validated k, as in wl.distinguish
+            raise SizeMismatch(f"orders differ: {g.n} vs {h.n}")
+        cg, ch = colorings
+        if (found is None and r <= max(args.max_rounds, 0)
+                and sorted(cg) != sorted(ch)):
+            found = r
+        for history, colors in zip(counts, colorings):
+            if len(history) < 2 or history[-1] != history[-2]:
+                history.append(len(set(colors)))
     return {
-        "distinguished": rounds is not None,
-        "rounds": rounds,
-        "class_sizes_per_round": {
-            "g": wl.class_counts(g, args.k),
-            "h": wl.class_counts(h, args.k),
-        },
+        "distinguished": found is not None,
+        "rounds": found,
+        "class_sizes_per_round": {"g": counts[0], "h": counts[1]},
     }, 0
 
 

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lreckit.cformula import (
     CFormula,
@@ -95,6 +97,22 @@ def test_recursive_and_table_evaluators_agree(s, f):
     assert Evaluator(s).eval(f, assign) == TableEvaluator(s).eval(f, assign)
 
 
+@settings(max_examples=200)
+@given(structures(), structures(), formulas())
+def test_every_table_cell_matches_the_recursive_evaluator(s, t, f):
+    # the same DAG on two domain sizes, n = 1 among them: a per-node cache
+    # that kept anything of the first structure would misread the second
+    assume(s.n != t.n)
+    for structure in (s, t):
+        fv, cells = TableEvaluator(structure).table(f)
+        assert fv == tuple(sorted(f.free_vars))
+        ref = Evaluator(structure)
+        values = list(itertools.product(range(structure.n), repeat=len(fv)))
+        assert len(cells) == len(values)
+        for cell, a in zip(cells, values):
+            assert cell == ref.eval(f, dict(zip(fv, a)))
+
+
 @settings(max_examples=150)
 @given(formulas())
 def test_sexpr_round_trip(f):
@@ -142,6 +160,7 @@ def _fields(f):
 def test_interned_nodes_carry_their_derived_fields(f):
     for node in nodes(f):
         assert (node.qdepth, node.varnames, node.free_vars) == _fields(node)
+        assert node.fv == tuple(sorted(node.free_vars))
 
 
 def test_rebuilding_returns_the_node_and_takes_no_nid():

@@ -16,6 +16,7 @@ from helpers import (
     h8,
     path_graph,
 )
+from lreckit import wl
 from lreckit.cformula import MAX_NESTING
 from lreckit.cli import main
 
@@ -158,6 +159,8 @@ STRUCTURES = {
     "dup.json": '{"n": 2, "rels": {"E": [[0, 1], [0, 1]]}}',
     "band40.json": band(40).to_json(),
     "empty33.json": '{"n": 33, "rels": {"E": []}}',
+    "band26.json": band(26).to_json(),
+    "sixty.json": '{"n": 60, "rels": {"E": [[0, 1], [1, 2]]}}',
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -169,6 +172,10 @@ NINE_IOTAS = ["lrec-eval", "three.json", "--sexpr",
               "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
 WIDE_ATOM = ["eval", "three.json", "--sexpr",
              "(atom E " + " ".join(["x"] * 13) + ")", "--assign", '{"x": 0}']
+# the conjunction under five quantifiers is a table of 60 ** 5 cells
+WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
+              "(count >= 1 a (count >= 1 b (count >= 1 c (count >= 1 d"
+              " (count >= 1 e (and (atom E a b) (atom E c d) (eq e a)))))))"]
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -216,6 +223,9 @@ WIDE_ATOM = ["eval", "three.json", "--sexpr",
     (["decompose", "band40.json"], "SizeExceeded"),
     # 33 ** 3 triples, each refined over 33 substitutions a round
     (["wl", "empty33.json", "empty33.json", "--k", "3"], "SizeExceeded"),
+    (WIDE_TABLE, "SizeExceeded"),
+    # 227,667 nodes once expanded, 138 MB of JSON
+    (["decompose", "band26.json"], "SizeExceeded"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
@@ -439,6 +449,39 @@ def test_interval_on_twelve_disjoint_edges_is_fast(tmp_path, capsys):
     assert time.perf_counter() - started < 2.0
     doc = json.loads(capsys.readouterr().out)
     assert doc["possible_ends"] == [[2 * j, 2 * j + 1] for j in range(12)]
+
+
+@pytest.mark.parametrize("g, h, k, max_rounds", [
+    (disjoint_union(path_graph(4), path_graph(5)),
+     disjoint_union(path_graph(3), path_graph(6)), 1, 10),
+    # told apart at round 2 only, past --max-rounds
+    (disjoint_union(path_graph(4), path_graph(5)),
+     disjoint_union(path_graph(3), path_graph(6)), 1, 1),
+    (cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3)), 1, 10),
+    (cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3)), 2, 10),
+    # the histories stop at different rounds
+    (path_graph(7), disjoint_union(path_graph(1), cycle_graph(6)), 1, 0),
+])
+def test_wl_refines_once_and_keeps_each_history(g, h, k, max_rounds,
+                                               tmp_path, capsys, monkeypatch):
+    found = wl.distinguish(g, h, k, max_rounds)
+    want = {"distinguished": found is not None, "rounds": found,
+            "class_sizes_per_round": {"g": wl.class_counts(g, k),
+                                      "h": wl.class_counts(h, k)}}
+    passes = []
+    joint = wl.rounds
+
+    def counted(graphs, dim):
+        passes.append(len(graphs))
+        return joint(graphs, dim)
+
+    monkeypatch.setattr(wl, "rounds", counted)
+    (tmp_path / "g.json").write_text(graph_json(g))
+    (tmp_path / "h.json").write_text(graph_json(h))
+    assert main(["wl", str(tmp_path / "g.json"), str(tmp_path / "h.json"),
+                 "--k", str(k), "--max-rounds", str(max_rounds)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+    assert passes == [2]
 
 
 def test_byte_identical_reruns(files, tmp_path):
