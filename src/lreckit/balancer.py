@@ -13,13 +13,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dagstats import awt_restricted, restricted, weights
-from .errors import (
-    InternalLemmaViolation,
-    IsLeaf,
-    NotAcyclic,
-    NotRooted,
-)
-from .structures import DiGraph, reachable_closure, topological_order
+from .errors import InternalLemmaViolation, IsLeaf
+from .structures import DiGraph
 
 
 @dataclass
@@ -99,7 +94,7 @@ class _AwtCache:
     def __init__(self, g: DiGraph):
         self.g = g
         self._memo: dict[tuple[int, frozenset[int]], int] = {}
-        self._reach: dict[int, set[int]] = {}
+        self._reach: dict[int, frozenset[int]] = {}
 
     def awt(self, v: int, w_set: frozenset[int]) -> int:
         key = (v, w_set)
@@ -109,10 +104,10 @@ class _AwtCache:
             self._memo[key] = cached
         return cached
 
-    def reach(self, v: int) -> set[int]:
+    def reach(self, v: int) -> frozenset[int]:
         cached = self._reach.get(v)
         if cached is None:
-            cached = reachable_closure(self.g, v)
+            cached = restricted(self.g, v, ())
             self._reach[v] = cached
         return cached
 
@@ -195,10 +190,7 @@ def build_tree(g: DiGraph) -> DecompTree:
     backtrack when a choice leaves some grandchild heavier than half its
     grandparent.
     """
-    if g.root is None:
-        raise NotRooted("graph carries no root")
-    if topological_order(g) is None:
-        raise NotAcyclic("graph has a cycle")
+    weights(g)  # raises NotRooted or NotAcyclic
     cache = _AwtCache(g)
     # (v, W, limit) -> node or None; children of the node must weigh at
     # most limit/2 (the grandparent constraint), None = unconstrained
@@ -300,8 +292,8 @@ def check_tree(g: DiGraph, tree: DecompTree) -> CheckReport:
         if not node.is_leaf():
             covered: set[int] = set()
             for child in node.children:
-                covered |= restricted(g, child.v, child.w_set).host_ids()
-            target = restricted(g, node.v, node.w_set).host_ids() - {node.v}
+                covered |= restricted(g, child.v, child.w_set)
+            target = restricted(g, node.v, node.w_set) - {node.v}
             uncovered = target - covered
             if uncovered:
                 fail("cover", f"node ({node.v}, {sorted(node.w_set)}) "

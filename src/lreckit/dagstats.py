@@ -2,8 +2,9 @@
 
 wt(v) counts root-to-v paths; mul(v) is the maximum product of in-degrees
 along such a path. Their vertex sums awt/amul bound the size of the tree
-unfolding. Restricted subgraphs reachable while avoiding a waypoint set W
-(except as endpoint) are the units split by the balancer.
+unfolding. Restricted subgraphs, the units split by the balancer, are vertex
+sets of the host graph: the vertices reachable from v while avoiding a
+waypoint set W (except as endpoint). Waypoints are their sinks.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotAcyclic, NotRooted, PreconditionViolated
-from .structures import DiGraph, reachable_closure, topological_order
+from .errors import IdOutOfRange, NotAcyclic, NotRooted, PreconditionViolated
+from .structures import DiGraph, reachable_closure
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,57 @@ class WeightTable:
         }
 
 
+def restricted(g: DiGraph, v: int, w_set: Iterable[int]) -> frozenset[int]:
+    """Vertices reachable from v by paths that avoid w_set except possibly
+    at the endpoint. Every waypoint must be reachable from v."""
+    if not 0 <= v < g.n:
+        raise IdOutOfRange(f"id {v} not in [0, {g.n - 1}]")
+    w_set = frozenset(w_set)
+    keep = {v}
+    stack = [] if v in w_set else [v]
+    while stack:
+        for x in g.out_neighbours[stack.pop()]:
+            if x not in keep:
+                keep.add(x)
+                if x not in w_set:
+                    stack.append(x)
+    unreached = w_set - keep
+    if unreached:
+        unreached -= reachable_closure(g, v)
+        if unreached:
+            raise PreconditionViolated(f"{min(unreached)} is not reachable from {v}")
+    return frozenset(keep)
+
+
+def _walk(g: DiGraph, v: int, w_set: Iterable[int]) -> list[tuple[int, list[int]]]:
+    """The restriction (v, w_set) in topological order, each vertex paired
+    with its predecessors inside the restriction.
+
+    Waypoints are sinks: paths may end at a waypoint but never continue
+    through one, so its outgoing edges are dropped. Keeping them would
+    count paths through waypoints and break the weight-splitting
+    inequality the balancer relies on.
+    """
+    w_set = frozenset(w_set)
+    keep = restricted(g, v, w_set)
+    preds = {u: [p for p in g.in_neighbours[u] if p in keep and p not in w_set]
+             for u in keep}
+    left = {u: len(ps) for u, ps in preds.items()}
+    ready = [u for u, k in left.items() if k == 0]
+    order = []
+    while ready:
+        u = ready.pop()
+        order.append((u, preds[u]))
+        if u not in w_set:
+            for x in g.out_neighbours[u]:
+                left[x] -= 1
+                if left[x] == 0:
+                    ready.append(x)
+    if len(order) < len(keep):
+        raise NotAcyclic("graph has a cycle")
+    return order
+
+
 def weights(g: DiGraph) -> WeightTable:
     """Weight and multiplicity of every vertex, plus their aggregates.
 
@@ -38,68 +90,21 @@ def weights(g: DiGraph) -> WeightTable:
     """
     if g.root is None:
         raise NotRooted("graph carries no root")
-    order = topological_order(g)
-    if order is None:
-        raise NotAcyclic("graph has a cycle")
-    wt = [0] * g.n
-    mul = [0] * g.n
-    wt[g.root] = mul[g.root] = 1
-    for v in order:
-        if v == g.root:
-            continue
-        preds = g.in_neighbours[v]
-        wt[v] = sum(wt[u] for u in preds)
-        mul[v] = len(preds) * max(mul[u] for u in preds)
+    wt = [1] * g.n
+    mul = [1] * g.n
+    for u, preds in _walk(g, g.root, ()):
+        if preds:
+            wt[u] = sum(wt[p] for p in preds)
+            mul[u] = len(preds) * max(mul[p] for p in preds)
     return WeightTable(tuple(wt), tuple(mul), sum(wt), sum(mul))
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """A restricted subgraph with its vertex map back to the host graph:
-    new id k corresponds to host vertex vertices[k]."""
-
-    graph: DiGraph
-    vertices: tuple[int, ...]
-
-    def host_ids(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-
-def restricted(g: DiGraph, v: int, w_set: Iterable[int]) -> Subgraph:
-    """Induced subgraph on vertices reachable from v by paths that avoid
-    w_set except possibly at the endpoint; rooted at v."""
-    w_set = frozenset(w_set)
-    for w in w_set:
-        if w not in reachable_closure(g, v):
-            raise PreconditionViolated(f"{w} is not reachable from {v}")
-    if v in w_set:
-        keep = {v}
-    else:
-        keep = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for x in g.out_neighbours[u]:
-                if x not in keep:
-                    keep.add(x)
-                    if x not in w_set:
-                        stack.append(x)
-    ids = tuple(sorted(keep))
-    index = {u: k for k, u in enumerate(ids)}
-    # Waypoints are sinks of the restriction: paths may end at a waypoint
-    # but never continue through one, so its outgoing edges are dropped.
-    # Keeping them would count paths through waypoints and break the
-    # weight-splitting inequality the balancer relies on.
-    edges = frozenset(
-        (index[a], index[b])
-        for a, b in g.edges
-        if a in keep and b in keep and a not in w_set
-    )
-    return Subgraph(DiGraph(len(ids), edges, root=index[v]), ids)
-
-
 def awt_restricted(g: DiGraph, v: int, w_set: Iterable[int]) -> int:
-    return weights(restricted(g, v, w_set).graph).awt
+    """awt of the restriction (v, w_set), rooted at v."""
+    wt: dict[int, int] = {}
+    for u, preds in _walk(g, v, w_set):
+        wt[u] = sum(wt[p] for p in preds) if preds else 1
+    return sum(wt.values())
 
 
 def has_m_path_property(g: DiGraph, m: int) -> bool:

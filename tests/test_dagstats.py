@@ -10,7 +10,12 @@ from lreckit.dagstats import (
     restricted,
     weights,
 )
-from lreckit.errors import NotAcyclic, NotRooted, PreconditionViolated
+from lreckit.errors import (
+    IdOutOfRange,
+    NotAcyclic,
+    NotRooted,
+    PreconditionViolated,
+)
 from lreckit.structures import DiGraph, reachable_closure
 
 
@@ -69,31 +74,79 @@ def test_m_path_property_bounds_awt():
         assert t.awt <= t.amul <= m * g.n
 
 
+def restriction(g: DiGraph, v: int, w_set) -> tuple[frozenset[int], DiGraph]:
+    """Referee: the restriction (v, w_set) from the definition, as its
+    kept host vertices and as its own rooted DiGraph. Kept are the vertices
+    that a path from v reaches without leaving a waypoint; the graph is
+    induced on them, minus the waypoints' out-edges, relabelled in host
+    order."""
+    w_set = frozenset(w_set)
+    open_edges = frozenset((a, b) for a, b in g.edges if a not in w_set)
+    kept = sorted(reachable_closure(DiGraph(g.n, open_edges), v))
+    index = {u: k for k, u in enumerate(kept)}
+    edges = frozenset(
+        (index[a], index[b]) for a, b in open_edges if a in index and b in index
+    )
+    return frozenset(kept), DiGraph(len(kept), edges, root=index[v])
+
+
 def test_restricted_drops_waypoint_out_edges():
-    sub = restricted(DIAMOND, 0, {1})
-    assert sub.vertices == (0, 1, 2, 3)
+    assert restricted(DIAMOND, 0, {1}) == frozenset({0, 1, 2, 3})
     # paths may end at the waypoint 1 but not continue through it
-    assert sub.graph.edges == frozenset({(0, 1), (0, 2), (2, 3)})
-    assert sub.graph.root == 0
+    _, sub = restriction(DIAMOND, 0, {1})
+    assert sub.edges == frozenset({(0, 1), (0, 2), (2, 3)})
+    assert sub.root == 0
+    assert awt_restricted(DIAMOND, 0, {1}) == 4  # 0, 01, 02, 023
 
 
 def test_restricted_waypoint_equal_start():
-    sub = restricted(DIAMOND, 0, {0})
-    assert sub.vertices == (0,)
-    assert sub.graph.edges == frozenset()
+    assert restricted(DIAMOND, 0, {0}) == frozenset({0})
+    assert restriction(DIAMOND, 0, {0})[1].edges == frozenset()
+    assert awt_restricted(DIAMOND, 0, {0}) == 1
 
 
 def test_restricted_unreachable_waypoint_rejected():
     with pytest.raises(PreconditionViolated):
         restricted(DIAMOND, 1, {2})
+    with pytest.raises(PreconditionViolated):
+        awt_restricted(DIAMOND, 1, {2})
+
+
+def test_restricted_start_out_of_range_rejected():
+    for v in (-1, -4, 4, 7):
+        with pytest.raises(IdOutOfRange):
+            restricted(DIAMOND, v, ())
+        with pytest.raises(IdOutOfRange):
+            awt_restricted(DIAMOND, v, ())
 
 
 def test_awt_restricted_matches_direct_weights():
+    # every start with W empty or one waypoint, the sets the balancer uses
     for g, _ in generate_corpus(9, 8, 80):
         for v in sorted(reachable_closure(g, g.root)):
-            assert awt_restricted(g, v, ()) == weights(
-                restricted(g, v, ()).graph
-            ).awt
+            for w_set in [()] + [(w,) for w in sorted(reachable_closure(g, v))]:
+                kept, sub = restriction(g, v, w_set)
+                assert restricted(g, v, w_set) == kept
+                assert awt_restricted(g, v, w_set) == weights(sub).awt
+
+
+def test_restriction_with_a_cycle_is_not_acyclic():
+    g = DiGraph(3, frozenset({(0, 1), (1, 2), (2, 1)}), root=0)
+    assert restricted(g, 0, ()) == frozenset({0, 1, 2})
+    with pytest.raises(NotAcyclic):
+        awt_restricted(g, 0, ())
+    with pytest.raises(NotAcyclic):
+        awt_restricted(g, 1, ())
+
+
+def test_acyclic_restriction_of_a_cyclic_host():
+    g = DiGraph(3, frozenset({(0, 1), (1, 2), (2, 1)}), root=0)
+    # the waypoint 1 is a sink, so the cycle 1 -> 2 -> 1 is cut
+    assert awt_restricted(g, 0, {1}) == 2
+    assert awt_restricted(g, 2, {1}) == 2
+    back = DiGraph(3, frozenset({(0, 1), (1, 0), (1, 2)}), root=0)
+    assert awt_restricted(back, 0, {1}) == 2
+    assert awt_restricted(back, 1, {0}) == 3
 
 
 def test_weight_splitting_inequality():
