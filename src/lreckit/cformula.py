@@ -20,7 +20,6 @@ from .errors import (
     ArityMismatch,
     IdOutOfRange,
     MalformedInput,
-    NotASentence,
     RangeViolation,
     SizeExceeded,
     UnboundVariable,
@@ -131,6 +130,8 @@ class Interner:
 
     def __init__(self):
         self._table: dict[tuple, CFormula] = {}
+        # the TRUE and FALSE nodes, interned on mk_bool's first use of each
+        self._bools: dict[bool, CFormula] = {}
 
     def intern(self, node: CFormula) -> CFormula:
         key = node.key()
@@ -147,7 +148,12 @@ class Interner:
 
 
 def mk_bool(value: bool, interner: Interner) -> CFormula:
-    return interner.intern(CFormula(BOOL, value=bool(value)))
+    value = bool(value)
+    node = interner._bools.get(value)
+    if node is None:
+        node = interner._bools[value] = interner.intern(
+            CFormula(BOOL, value=value))
+    return node
 
 
 def mk_eq(x: str, y: str, interner: Interner) -> CFormula:
@@ -229,11 +235,6 @@ def mk_exists(var: str, child: CFormula,
 def mk_forall(var: str, child: CFormula,
               interner: Interner) -> CFormula:
     return mk_not(mk_count(GE, 1, var, mk_not(child, interner), interner), interner)
-
-
-def mk_implies(a: CFormula, b: CFormula,
-               interner: Interner) -> CFormula:
-    return mk_or([mk_not(a, interner), b], interner)
 
 
 def qdepth(f: CFormula) -> int:
@@ -512,13 +513,6 @@ class TableEvaluator:
         cell = sum(assignment[v] * n ** p
                    for p, v in enumerate(reversed(f.fv)))
         return bool(self._tables(f) >> cell & 1)
-
-
-def distinguishes(g: RelStructure, h: RelStructure, f: CFormula) -> bool:
-    """True iff the sentence f evaluates differently on g and h."""
-    if f.free_vars:
-        raise NotASentence(f"free variables: {sorted(f.free_vars)}")
-    return eval_formula(g, f) != eval_formula(h, f)
 
 
 # --- S-expression serialization -------------------------------------------

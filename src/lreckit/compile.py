@@ -118,12 +118,16 @@ class FormulaCache:
 
     The recursive definitions would blow up as trees, so every family call
     goes through the cache. The cache owns the interner its nodes are built
-    on: the one passed in, or a fresh one.
+    on: the one passed in, or a fresh one. It also keeps the memos of
+    `translate_lrec_once`, so every translation on it shares them.
     """
 
     def __init__(self, interner: Interner | None = None):
         self.interner = interner if interner is not None else Interner()
         self._memo: dict[tuple, CFormula] = {}
+        # (lrec formula, n, values of the resource variables its
+        # subformulas read) -> (node mapping, psi memo, size_test memo)
+        self._translations: dict[tuple, tuple[dict, dict, dict]] = {}
 
     def get(self, key: tuple) -> CFormula | None:
         return self._memo.get(key)
@@ -436,6 +440,13 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
     s". This assumes the equality formula defines a genuine equivalence
     relation: otherwise the classes are not disjoint and the sizes do not
     add up.
+
+    The node mapping (compiled node id -> translated node) and the psi and
+    size_test memos live on `cache`, keyed by the formula object, n and the
+    values of the resource variables that eq_f, edge_f and card_f read:
+    those are all a node's translation depends on. A repeat translation is
+    one lookup, and a new resource maps only the compiled nodes the mapping
+    has not seen. Resource values must be ints (bools are refused).
     """
     itn = cache.interner
     if f.kind != LREC:
@@ -452,15 +463,20 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
         raise ArityMismatch(
             f"got {len(m_values)} resource values for {len(f.kappas)} variables"
         )
+    for v in m_values:
+        if type(v) is not int:
+            raise MalformedInput(f"resource value {v!r} is not an int")
     resource = decode_number(m_values, n)
     if resource < 1:
         return mk_bool(False, itn)
 
     kappa_map = dict(zip(f.kappas, m_values))
+    read = eq_f.num_free | edge_f.num_free | card_f.num_free
+    memo, psi_memo, size_memo = cache._translations.setdefault(
+        (f, n, tuple([v for k, v in kappa_map.items() if k in read])),
+        ({}, {}, {}))
     y1, y2, xvar = f.y1[0], f.y2[0], f.xs[0]
     s1, s2 = SUBST_VARS
-
-    psi_memo: dict[tuple, CFormula] = {}
 
     def psi(sub: LFormula, *dom: str, ivals: tuple[int, ...] = ()) -> CFormula:
         # sub with (y1, y2) renamed to dom and the iotas set to ivals
@@ -472,8 +488,6 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
                 {**kappa_map, **dict(zip(f.iotas, ivals))}, n, itn)
             psi_memo[key] = hit
         return hit
-
-    size_memo: dict[tuple, CFormula] = {}
 
     def size_test(s: int, z: str) -> CFormula:
         # "the class of z has exactly s members"
@@ -487,8 +501,7 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
     phi_x = compile_x_formula(params, resource, QUERY_VAR, cache=cache)
 
     vectors = list(_count_vectors(n))
-    memo: dict[int, CFormula] = {}
-    for node in nodes(phi_x):
+    for node in nodes(phi_x, memo):
         kind = node.kind
         if kind == BOOL:
             out = node

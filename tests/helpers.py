@@ -5,8 +5,21 @@ from __future__ import annotations
 import itertools
 import warnings
 
-from lreckit.structures import DiGraph, Graph
+from lreckit.cformula import CFormula, Interner, eval_formula, mk_not, mk_or
+from lreckit.errors import NotASentence
+from lreckit.structures import DiGraph, Graph, RelStructure
 from lreckit.xfix import CardinalityCondition
+
+
+def mk_implies(a: CFormula, b: CFormula, interner: Interner) -> CFormula:
+    return mk_or([mk_not(a, interner), b], interner)
+
+
+def distinguishes(g: RelStructure, h: RelStructure, f: CFormula) -> bool:
+    """True iff the sentence f evaluates differently on g and h."""
+    if f.free_vars:
+        raise NotASentence(f"free variables: {sorted(f.free_vars)}")
+    return eval_formula(g, f) != eval_formula(h, f)
 
 
 def quiet_condition(g: DiGraph, mapping: dict[int, set[int]]) -> CardinalityCondition:

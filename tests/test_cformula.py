@@ -3,13 +3,13 @@ import itertools
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from helpers import distinguishes, mk_implies
 from lreckit.cformula import (
     CFormula,
     Evaluator,
     Interner,
     TableEvaluator,
     dag_size,
-    distinguishes,
     eval_formula,
     mk_and,
     mk_atom,
@@ -18,7 +18,6 @@ from lreckit.cformula import (
     mk_eq,
     mk_exists,
     mk_forall,
-    mk_implies,
     mk_not,
     mk_or,
     nodes,

@@ -1,7 +1,8 @@
 import pytest
 
-from lrec_battery import BATTERY, STRUCTURES, resource_tuples
+from lrec_battery import BATTERY, MAX_N_TWO_KAPPA, STRUCTURES, resource_tuples
 from lreckit.cformula import (
+    Interner,
     TableEvaluator,
     dag_size,
     mk_bool,
@@ -31,15 +32,27 @@ from lreckit.lformula import (
 CACHE = FormulaCache()
 
 
-def sweep(f, kappas, s):
+class CountingInterner(Interner):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def intern(self, node):
+        self.calls += 1
+        return super().intern(node)
+
+
+def sweep(f, kappas, s, cache=CACHE):
     for tup in resource_tuples(s.n, len(kappas)):
-        cf = translate_lrec_once(f, s.n, tup, CACHE)
+        cf = translate_lrec_once(f, s.n, tup, cache)
         ev = TableEvaluator(s)
         for v in range(s.n):
             want = eval_lrec(
                 s, f, TwoSortedAssignment({"x": v}, dict(zip(kappas, tup)))
             )
-            assert ev.eval(cf, {QUERY_VAR: v}) == want, (tup, v)
+            # a failing assert prints its operands: keep cf out of it
+            got = ev.eval(cf, {QUERY_VAR: v})
+            assert got == want, (tup, v)
 
 
 @pytest.mark.parametrize("idx", [0, 2, 4, 12, 18, 19])
@@ -104,6 +117,53 @@ def test_resource_arity_checked():
     _, _, _, _, f = BATTERY[0]
     with pytest.raises(ArityMismatch):
         translate_lrec_once(f, 2, (1, 1), CACHE)
+
+
+@pytest.mark.parametrize("tup", [(True,), (2.0,), ("1",)])
+def test_resource_values_must_be_ints(tup):
+    _, _, _, _, f = BATTERY[0]
+    with pytest.raises(MalformedInput):
+        translate_lrec_once(f, 2, tup, CACHE)
+
+
+def test_repeat_translation_is_one_lookup():
+    cache = FormulaCache(CountingInterner())
+    f = BATTERY[4][4]
+    first = translate_lrec_once(f, 3, (2,), cache)
+    calls = cache.interner.calls
+    # nids, not nodes: a failing assert would print both formulas as trees
+    assert translate_lrec_once(f, 3, (2,), cache).nid == first.nid
+    assert cache.interner.calls == calls
+
+
+def test_shared_memo_gives_the_nodes_of_a_fresh_cache():
+    shared = FormulaCache()
+    for _, _, _, kappas, f in BATTERY:
+        for n in (2, 3) if len(kappas) == 1 else (MAX_N_TWO_KAPPA,):
+            for tup in resource_tuples(n, len(kappas)):
+                fresh = FormulaCache(shared.interner)
+                assert (translate_lrec_once(f, n, tup, shared).nid
+                        == translate_lrec_once(f, n, tup, fresh).nid), (n, tup)
+
+
+@pytest.mark.parametrize("text", [
+    "(lrec (y1) (y2) (i) (eq y1 y2) (and (atom E y1 y2) (num-le k 1))"
+    " (num-le i 1) (x) (k))",
+    "(lrec (y1) (y2) (i) (or (eq y1 y2) (num-eq k 2)) (atom E y1 y2)"
+    " (num-le i 1) (x) (k))",
+    "(lrec (y1) (y2) (i) (eq y1 y2) (atom E y1 y2) (num-le i k2) (x)"
+    " (k1 k2))",
+])
+def test_shared_memo_keeps_the_resource_values_read(text):
+    # the edge, equality or label subformula reads a resource variable, so
+    # tuples that differ in it must not share a node mapping; each case
+    # disagrees with eval_lrec when the memo key leaves the read values out
+    f = parse_lsexpr(text)
+    cache = FormulaCache()
+    for s in STRUCTURES[:6]:
+        if len(f.kappas) == 2 and s.n > MAX_N_TWO_KAPPA:
+            continue
+        sweep(f, f.kappas, s, cache)
 
 
 def test_eliminate_numbers_matches_two_sorted_semantics():

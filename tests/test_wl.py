@@ -4,9 +4,9 @@ import time
 
 import pytest
 
-from helpers import cycle_graph, disjoint_union, path_graph
+from helpers import cycle_graph, disjoint_union, distinguishes, path_graph
 from lreckit import wl
-from lreckit.cformula import Interner, distinguishes, mk_and, mk_atom, mk_count
+from lreckit.cformula import Interner, mk_and, mk_atom, mk_count
 from lreckit.errors import SizeMismatch, UnsupportedDimension
 from lreckit.structures import Graph
 from lreckit.wl import class_counts, distinguish, rounds
