@@ -90,7 +90,10 @@ class CFormula:
                 self.mode, self.threshold, self.bound_var)
 
     def __repr__(self):
-        return f"<CFormula #{self.nid} {print_sexpr(self)}>"
+        # bounded by the node, not the tree: print_sexpr expands shared
+        # subformulas and can be exponential in the DAG size
+        return (f"<CFormula #{self.nid} {self.kind} qdepth={self.qdepth} "
+                f"fv={self.fv}>")
 
 
 def _derive(node: CFormula) -> None:
@@ -290,8 +293,9 @@ def _checked_assignment(f: CFormula, assignment: dict | None, n: int) -> dict:
     return assignment
 
 
-def _check_atom(f: CFormula, s: RelStructure) -> None:
-    """Refuse an atom whose symbol or arity the structure does not have."""
+def _check_atom(f, s: RelStructure) -> None:
+    """Refuse an atom whose symbol or arity the structure does not have.
+    f is an atom of either logic: only its symbol and vars are read."""
     if f.symbol not in s.vocabulary:
         raise UnknownSymbol(f.symbol)
     arity = s.vocabulary.arity(f.symbol)
@@ -348,11 +352,6 @@ class Evaluator:
                     count += 1
             return _compare(count, f.mode, f.threshold)
         raise AssertionError(f.kind)
-
-
-def eval_formula(s: RelStructure, f: CFormula,
-                 assignment: dict[str, int] | None = None) -> bool:
-    return Evaluator(s).eval(f, assignment)
 
 
 class TableEvaluator:

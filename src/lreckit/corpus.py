@@ -77,7 +77,7 @@ def _rooted_iso(g: DiGraph, h: DiGraph) -> bool:
 
 def enumerate_rooted_dags(n_max: int) -> list[DiGraph]:
     """All rooted DAGs on 1..n_max vertices, up to root-preserving
-    isomorphism. Exhaustive; meant for n_max <= 3."""
+    isomorphism. Exhaustive; meant for n_max <= 4."""
     if n_max > 4:
         raise SizeExceeded("exhaustive enumeration is for n_max <= 4")
     found: list[DiGraph] = []

@@ -105,8 +105,3 @@ def awt_restricted(g: DiGraph, v: int, w_set: Iterable[int]) -> int:
     for u, preds in _walk(g, v, w_set):
         wt[u] = sum(wt[p] for p in preds) if preds else 1
     return sum(wt.values())
-
-
-def has_m_path_property(g: DiGraph, m: int) -> bool:
-    """True iff mul(v) <= m for every vertex."""
-    return max(weights(g).mul) <= m

@@ -33,10 +33,6 @@ class UnknownSymbol(LreckitError):
     pass
 
 
-class NotASentence(LreckitError):
-    pass
-
-
 class ComponentOutOfRange(LreckitError):
     pass
 

@@ -1,6 +1,5 @@
-"""Interval-graph machinery: maxcliques, consecutive orderings, possible
-ends, the anchored precedence relation on maxcliques, and module
-extraction.
+"""Interval-graph machinery: maxcliques, recognition, possible ends, the
+anchored precedence relation on maxcliques, and module extraction.
 
 A graph is interval iff its maximal cliques admit a linear order in which
 the cliques containing any fixed vertex are consecutive. Anchoring such
@@ -13,7 +12,7 @@ triple-free) referees the main algorithm in tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotAMaxclique, NotInterval, SizeExceeded
 from .structures import Graph
@@ -42,20 +41,17 @@ def maxcliques(g: Graph) -> tuple[frozenset[int], ...]:
     return tuple(sorted(out, key=sorted))
 
 
-def _consecutive_search(g: Graph, cliques, collect_all: bool, first=None):
+def _consecutive_search(g: Graph, cliques, first=None) -> bool:
     """Backtracking over clique orders; a vertex's cliques must form one
-    contiguous block. Returns the list of valid orders (or at most one
-    when collect_all is false), only those opening with `first` if given."""
+    contiguous block. True iff some valid order exists, opening with
+    `first` if given."""
     if len(cliques) > MAX_CLIQUES:
         raise SizeExceeded(f"{len(cliques)} maxcliques exceed {MAX_CLIQUES}")
-    results: list[tuple[frozenset[int], ...]] = []
-    order: list[frozenset[int]] = [] if first is None else [first]
-    seen: set[int] = set().union(*order)
+    seen: set[int] = set() if first is None else set(first)
 
     def place(remaining: list[frozenset[int]]) -> bool:
         if not remaining:
-            results.append(tuple(order))
-            return not collect_all
+            return True
         for idx, c in enumerate(remaining):
             rest = remaining[:idx] + remaining[idx + 1:]
             # a vertex that c leaves behind may not come back later, so a
@@ -64,35 +60,24 @@ def _consecutive_search(g: Graph, cliques, collect_all: bool, first=None):
             if any(d & left for d in rest):
                 continue
             newly_seen = c - seen
-            order.append(c)
             seen.update(newly_seen)
-            done = place(rest)
-            seen.difference_update(newly_seen)
-            order.pop()
-            if done:
+            if place(rest):
                 return True
+            seen.difference_update(newly_seen)
         return False
 
-    place([c for c in cliques if c not in order])
-    return results
-
-
-def consecutive_orderings(g: Graph) -> list[tuple[frozenset[int], ...]]:
-    """All linear orders of the maxcliques with contiguous vertex blocks;
-    empty exactly when g is not an interval graph."""
-    return _consecutive_search(g, maxcliques(g), collect_all=True)
+    return place([c for c in cliques if c != first])
 
 
 def is_interval(g: Graph) -> bool:
-    return bool(_consecutive_search(g, maxcliques(g), collect_all=False))
+    return _consecutive_search(g, maxcliques(g))
 
 
 def possible_ends(g: Graph) -> set[frozenset[int]]:
     """Maxcliques that can open some consecutive ordering: one early-exit
     search per maxclique, with that clique placed first."""
     cliques = maxcliques(g)
-    ends = {m for m in cliques
-            if _consecutive_search(g, cliques, collect_all=False, first=m)}
+    ends = {m for m in cliques if _consecutive_search(g, cliques, first=m)}
     if not ends:
         raise NotInterval("graph has no consecutive maxclique ordering")
     return ends
@@ -103,9 +88,6 @@ class PrecRelation:
     anchor: frozenset[int]
     cliques: tuple[frozenset[int], ...]
     pairs: frozenset[tuple[frozenset[int], frozenset[int]]]
-
-    def holds(self, c: frozenset[int], d: frozenset[int]) -> bool:
-        return (c, d) in self.pairs
 
     def incomparable(self, c: frozenset[int], d: frozenset[int]) -> bool:
         return c != d and (c, d) not in self.pairs and (d, c) not in self.pairs
@@ -224,39 +206,6 @@ def induced(g: Graph, keep) -> Graph:
     return Graph(len(keep), frozenset(
         (pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos
     ))
-
-
-def modular_decomposition(g: Graph) -> dict:
-    """Best-effort recursive module tree built from the anchored
-    precedence relation: split off the first nontrivial extracted module,
-    recurse into it and into the quotient with the module contracted to
-    its smallest vertex. Leaf when no nontrivial module is found."""
-    node = {"vertices": list(range(g.n)), "children": []}
-    if g.n <= 2:
-        return node
-    for m in maxcliques(g):
-        for s in extract_modules(g, m):
-            if 1 < len(s) < g.n:
-                rep = min(s)
-                rest = (set(range(g.n)) - s) | {rep}
-                contracted_edges = set()
-                for u, v in g.edges:
-                    cu = rep if u in s else u
-                    cv = rep if v in s else v
-                    if cu != cv:
-                        contracted_edges.add((cu, cv))
-                pos = {v: i for i, v in enumerate(sorted(rest))}
-                quotient = Graph(len(rest), frozenset(
-                    (pos[u], pos[v]) for u, v in contracted_edges
-                ))
-                node["children"] = [
-                    {"module": sorted(s),
-                     "inside": modular_decomposition(induced(g, s))},
-                    {"quotient_on": sorted(rest),
-                     "tree": modular_decomposition(quotient)},
-                ]
-                return node
-    return node
 
 
 # --- independent recognition oracle ----------------------------------------

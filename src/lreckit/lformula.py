@@ -14,7 +14,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .cformula import _names, parse_sexpr_data
+from .cformula import _check_atom, _names, parse_sexpr_data
 from .errors import (
     ArityMismatch,
     ComponentOutOfRange,
@@ -23,7 +23,6 @@ from .errors import (
     RangeViolation,
     SizeExceeded,
     UnboundVariable,
-    UnknownSymbol,
     UnsupportedDimension,
 )
 from .structures import DiGraph, RelStructure
@@ -269,8 +268,7 @@ class LEvaluator:
         if f.kind == LEQ:
             return a.dom[f.vars[0]] == a.dom[f.vars[1]]
         if f.kind == LATOM:
-            if f.symbol not in s.vocabulary:
-                raise UnknownSymbol(f.symbol)
+            _check_atom(f, s)
             return tuple(a.dom[v] for v in f.vars) in s.rel(f.symbol)
         if f.kind == LNOT:
             return not self._eval(f.children[0], a)
@@ -397,14 +395,6 @@ def build_quotient(s: RelStructure, a: TwoSortedAssignment, k: int,
         tuple(frozenset(l) for l in labels),
         closure_changed,
     )
-
-
-def eval_fo_c(s: RelStructure, f: LFormula,
-              a: TwoSortedAssignment | None = None) -> bool:
-    """Evaluate a recursion-free formula under the two-sorted semantics."""
-    if f.contains_lrec():
-        raise MalformedInput("eval_fo_c requires a formula without lrec")
-    return LEvaluator(s).eval(f, a)
 
 
 def eval_lrec(s: RelStructure, f: LFormula,

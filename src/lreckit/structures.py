@@ -134,9 +134,6 @@ class DiGraph:
     def is_acyclic(self) -> bool:
         return topological_order(self) is not None
 
-    def as_structure(self) -> RelStructure:
-        return RelStructure(GRAPH_VOCABULARY, self.n, {"E": frozenset(self.edges)})
-
     def to_json(self) -> str:
         doc: dict = {"n": self.n, "rels": {"E": sorted(list(e) for e in self.edges)}}
         if self.root is not None:

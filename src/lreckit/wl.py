@@ -69,12 +69,6 @@ def rounds(graphs: list[Graph], k: int) -> Iterator[list[list[int]]]:
         classes = len(ids)
 
 
-def class_counts(g: Graph, k: int) -> list[int]:
-    """The number of color classes of g after each round, through the
-    first round that repeats the count."""
-    return [len(set(colors)) for (colors,) in rounds([g], k)]
-
-
 def distinguish(g: Graph, h: Graph, k: int, max_rounds: int) -> int | None:
     """Least round r <= max_rounds at which some color has different
     multiplicity in g and h (round 0 = atomic types, always compared), or

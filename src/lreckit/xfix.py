@@ -70,11 +70,13 @@ def parse_cardinality(text: str, g: DiGraph) -> CardinalityCondition:
     for key, values in doc["C"].items():
         try:
             v = int(key)
+            if str(v) != key:  # "1_0", " 1", "+1" and "01" are no ids
+                raise ValueError
         except ValueError:
             raise MalformedInput(f"vertex key {key!r} is not an integer") from None
         if not (0 <= v < g.n):
             raise IdOutOfRange(f"vertex {v} not in [0, {g.n - 1}]")
-        if not isinstance(values, list) or not all(isinstance(c, int) for c in values):
+        if not isinstance(values, list) or not all(type(c) is int for c in values):
             raise MalformedInput(f"counts for vertex {v} must be a list of ints")
         mapping[v] = set(values)
     return CardinalityCondition.from_dict(g, mapping)
@@ -87,9 +89,6 @@ class XInstance:
     g: DiGraph
     c: CardinalityCondition
     _memo: dict[tuple[int, int], bool] = field(default_factory=dict)
-
-    def member(self, v: int, i: int) -> bool:
-        return compute_X(self, v, i)
 
 
 def _read(g: DiGraph, w: int, i: int) -> tuple[int, int]:

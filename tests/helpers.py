@@ -5,9 +5,9 @@ from __future__ import annotations
 import itertools
 import warnings
 
-from lreckit.cformula import CFormula, Interner, eval_formula, mk_not, mk_or
-from lreckit.errors import NotASentence
+from lreckit.cformula import CFormula, Evaluator, Interner, mk_not, mk_or
 from lreckit.structures import DiGraph, Graph, RelStructure
+from lreckit.wl import rounds
 from lreckit.xfix import CardinalityCondition
 
 
@@ -17,9 +17,13 @@ def mk_implies(a: CFormula, b: CFormula, interner: Interner) -> CFormula:
 
 def distinguishes(g: RelStructure, h: RelStructure, f: CFormula) -> bool:
     """True iff the sentence f evaluates differently on g and h."""
-    if f.free_vars:
-        raise NotASentence(f"free variables: {sorted(f.free_vars)}")
-    return eval_formula(g, f) != eval_formula(h, f)
+    return Evaluator(g).eval(f) != Evaluator(h).eval(f)
+
+
+def class_counts(g: Graph, k: int) -> list[int]:
+    """The number of WL color classes of g after each round, through the
+    first round that repeats the count."""
+    return [len(set(colors)) for (colors,) in rounds([g], k)]
 
 
 def quiet_condition(g: DiGraph, mapping: dict[int, set[int]]) -> CardinalityCondition:

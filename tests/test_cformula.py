@@ -10,7 +10,6 @@ from lreckit.cformula import (
     Interner,
     TableEvaluator,
     dag_size,
-    eval_formula,
     mk_and,
     mk_atom,
     mk_bool,
@@ -31,7 +30,6 @@ from lreckit.errors import (
     ArityMismatch,
     IdOutOfRange,
     MalformedInput,
-    NotASentence,
     UnboundVariable,
 )
 from lreckit.structures import RelStructure, Vocabulary
@@ -265,7 +263,7 @@ def test_shadowing_inner_binder_wins():
     f = mk_exists(
         "x", mk_and([mk_not(p, itn), mk_exists("x", p, itn)], itn), itn
     )
-    assert eval_formula(s, f)
+    assert Evaluator(s).eval(f)
 
 
 def test_dag_smaller_than_tree_when_shared():
@@ -288,6 +286,17 @@ def test_deep_chain_is_walked_without_recursion():
     assert ev.eval(f, {"x": 1}) is False
     assert dag_size(f) == 2 * 5000 + 1
     assert tree_size(f) == 3 * 5000 + 1
+
+
+def test_repr_is_bounded_by_the_node():
+    # 37 nodes that print as a tree of 786,430: pytest formats the operands
+    # of a failing assert with repr
+    itn = Interner()
+    f = mk_atom("P", ("x",), itn)
+    for _ in range(18):
+        f = mk_and([f, mk_not(f, itn)], itn)
+    assert dag_size(f) == 37 and tree_size(f) == 786_430
+    assert len(repr(f)) < 200
 
 
 def test_nodes_lists_children_first_and_skips_known_nodes():
@@ -317,13 +326,13 @@ def test_implies():
     s = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset({(0,), (1,)})})
     f = mk_forall("x", mk_implies(mk_atom("P", ("x",), itn),
                                   mk_eq("x", "x", itn), itn), itn)
-    assert eval_formula(s, f)
+    assert Evaluator(s).eval(f)
 
 
 def test_unbound_variable_raises():
     s = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset()})
     with pytest.raises(UnboundVariable):
-        eval_formula(s, mk_atom("P", ("x",), Interner()), {})
+        Evaluator(s).eval(mk_atom("P", ("x",), Interner()), {})
     with pytest.raises(UnboundVariable):
         TableEvaluator(s).eval(mk_atom("P", ("x",), Interner()), {})
 
@@ -348,7 +357,7 @@ def test_distinguishes_requires_sentence():
     t = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset({(0,)})})
     sentence = mk_exists("x", mk_atom("P", ("x",), itn), itn)
     assert distinguishes(s, t, sentence)
-    with pytest.raises(NotASentence):
+    with pytest.raises(UnboundVariable):
         distinguishes(s, t, mk_atom("P", ("x",), itn))
 
 

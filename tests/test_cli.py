@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     DIAMOND,
     band,
+    class_counts,
     cycle_graph,
     disjoint_union,
     h8,
@@ -148,7 +149,7 @@ def test_error_is_machine_readable(files, tmp_path, capsys):
     assert err["error"] == "MalformedInput"
 
 
-# the structure documents that the cases below name
+# the structure and condition documents that the cases below name
 STRUCTURES = {
     "one.json": '{"n": 1, "rels": {"P": [[0]]}}',
     "rel-int.json": '{"n": 2, "rels": {"E": 5}}',
@@ -161,6 +162,13 @@ STRUCTURES = {
     "empty33.json": '{"n": 33, "rels": {"E": []}}',
     "band26.json": band(26).to_json(),
     "sixty.json": '{"n": 60, "rels": {"E": [[0, 1], [1, 2]]}}',
+    "edge.json": '{"n": 2, "rels": {"E": [[0, 1]]}}',
+    "g.json": GRAPH,
+    "band11.json": band(11).to_json(),
+    "c-true.json": '{"C": {"0": [true], "1": [0]}}',
+    "c-underscore.json": '{"C": {"1_0": [1]}}',
+    "c-space.json": '{"C": {" 1": [1]}}',
+    "c-plus.json": '{"C": {"+1": [1]}}',
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -226,6 +234,16 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     (WIDE_TABLE, "SizeExceeded"),
     # 227,667 nodes once expanded, 138 MB of JSON
     (["decompose", "band26.json"], "SizeExceeded"),
+    (["lrec-eval", "edge.json", "--sexpr", "(exists x (atom E x))"],
+     "ArityMismatch"),
+    (["lrec-eval", "edge.json", "--sexpr", "(exists x (atom E x x x))"],
+     "ArityMismatch"),
+    (["oracle", "g.json", "--cond", "c-true.json"], "MalformedInput"),
+    # "1_0" would name vertex 10, " 1" and "+1" vertex 1
+    (["oracle", "band11.json", "--cond", "c-underscore.json"],
+     "MalformedInput"),
+    (["oracle", "g.json", "--cond", "c-space.json"], "MalformedInput"),
+    (["oracle", "g.json", "--cond", "c-plus.json"], "MalformedInput"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
@@ -466,8 +484,8 @@ def test_wl_refines_once_and_keeps_each_history(g, h, k, max_rounds,
                                                tmp_path, capsys, monkeypatch):
     found = wl.distinguish(g, h, k, max_rounds)
     want = {"distinguished": found is not None, "rounds": found,
-            "class_sizes_per_round": {"g": wl.class_counts(g, k),
-                                      "h": wl.class_counts(h, k)}}
+            "class_sizes_per_round": {"g": class_counts(g, k),
+                                      "h": class_counts(h, k)}}
     passes = []
     joint = wl.rounds
 

@@ -6,7 +6,6 @@ from helpers import DIAMOND, all_root_paths
 from lreckit.corpus import generate_corpus
 from lreckit.dagstats import (
     awt_restricted,
-    has_m_path_property,
     restricted,
     weights,
 )
@@ -69,8 +68,6 @@ def test_m_path_property_bounds_awt():
     for g, _ in generate_corpus(8, 10, 200):
         t = weights(g)
         m = max(t.mul)
-        assert has_m_path_property(g, m)
-        assert not has_m_path_property(g, m - 1) if m > 1 else True
         assert t.awt <= t.amul <= m * g.n
 
 

@@ -5,7 +5,6 @@ import pytest
 from helpers import H8_MAXCLIQUES, cycle_graph, disjoint_union, h8, path_graph
 from lreckit.errors import NotAMaxclique, NotInterval, SizeExceeded
 from lreckit.intervals import (
-    consecutive_orderings,
     extract_modules,
     is_at_free,
     is_chordal,
@@ -13,7 +12,6 @@ from lreckit.intervals import (
     is_interval_oracle,
     is_module,
     maxcliques,
-    modular_decomposition,
     possible_ends,
     prec_order,
 )
@@ -39,13 +37,6 @@ def test_maxcliques_h8_exact():
 def test_maxcliques_size_cap():
     with pytest.raises(SizeExceeded):
         maxcliques(Graph(33, frozenset()))
-
-
-def test_consecutive_orderings_path_and_c4():
-    assert len(consecutive_orderings(path_graph(3))) == 2
-    assert consecutive_orderings(cycle_graph(4)) == []
-    star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
-    assert consecutive_orderings(star)
 
 
 def test_is_interval_basics():
@@ -106,13 +97,30 @@ def test_possible_ends():
     assert possible_ends(p3s) == set(maxcliques(p3s))
 
 
-def test_ordering_reversal_and_first_element():
-    g = h8()
-    orderings = consecutive_orderings(g)
-    ends = set(possible_ends(g))
-    for order in orderings:
-        assert tuple(reversed(order)) in {tuple(o) for o in orderings}
-        assert order[0] in ends
+def consecutive_orders(g):
+    """Referee: every permutation of the maxcliques in which each vertex's
+    cliques form one contiguous block."""
+    def contiguous(order, v):
+        at = [i for i, c in enumerate(order) if v in c]
+        return at[-1] - at[0] + 1 == len(at)
+
+    return [order for order in itertools.permutations(maxcliques(g))
+            if all(contiguous(order, v) for v in range(g.n))]
+
+
+def test_possible_ends_are_the_first_cliques_of_brute_force_orders():
+    star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+    graphs = [h8(), star]
+    for n in range(1, 6):
+        graphs.extend(connected_graphs(n))
+    for g in graphs:
+        orders = consecutive_orders(g)
+        assert is_interval(g) == bool(orders)
+        if orders:
+            assert possible_ends(g) == {order[0] for order in orders}
+        else:
+            with pytest.raises(NotInterval):
+                possible_ends(g)
 
 
 def test_prec_order_h8_incomparable_pair():
@@ -158,8 +166,3 @@ def test_linear_prec_gives_no_modules():
     cliques = sorted(maxcliques(g), key=sorted)
     assert extract_modules(g, cliques[0]) == []
 
-
-def test_modular_decomposition_shape():
-    doc = modular_decomposition(h8())
-    assert isinstance(doc, dict)
-    assert "vertices" in doc or "module" in doc or doc

@@ -11,13 +11,12 @@ from lreckit.lformula import (
     LEvaluator,
     TwoSortedAssignment,
     build_quotient,
-    eval_fo_c,
     eval_lrec,
     parse_lsexpr,
     print_lsexpr,
 )
 from lreckit.structures import RelStructure, Vocabulary
-from lreckit.xfix import XInstance, encode_tau_n
+from lreckit.xfix import XInstance, compute_X, encode_tau_n
 
 VOC = Vocabulary((("E", 2), ("P", 1)))
 
@@ -29,7 +28,7 @@ def struct(n, edges, p=()):
 
 
 def ev(s, text, dom=None, num=None):
-    return eval_fo_c(s, parse_lsexpr(text), TwoSortedAssignment(dom or {}, num or {}))
+    return eval_lrec(s, parse_lsexpr(text), TwoSortedAssignment(dom or {}, num or {}))
 
 
 def test_round_trip_all_forms():
@@ -85,14 +84,6 @@ def test_unbound_and_nested_errors():
     s = struct(2, [])
     with pytest.raises(UnboundVariable):
         ev(s, "(atom P x)")
-    with pytest.raises(MalformedInput):
-        eval_fo_c(
-            s,
-            parse_lsexpr(
-                "(lrec (y1) (y2) (i) (eq y1 y2) (atom E y1 y2) "
-                "(num-eq i 0) (x) (k))"
-            ),
-        )
 
 
 def test_one_evaluator_keeps_fresh_formulas_apart():
@@ -156,7 +147,7 @@ def test_lrec_matches_direct_recursion():
     for v in range(3):
         for m in range(4):
             got = eval_lrec(s, f, TwoSortedAssignment({"x": v}, {"k": m}))
-            assert got == inst.member(v, m), (v, m)
+            assert got == compute_X(inst, v, m), (v, m)
 
 
 def test_quotient_contracts_equivalent_elements():
@@ -210,4 +201,4 @@ def test_lrec_on_encoded_instance_via_label_predicates():
     for v in range(3):
         for m in range(4):
             got = eval_lrec(s, f, TwoSortedAssignment({"x": v}, {"k": m}))
-            assert got == inst.member(v, m), (v, m)
+            assert got == compute_X(inst, v, m), (v, m)

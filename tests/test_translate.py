@@ -24,7 +24,6 @@ from lreckit.errors import (
 )
 from lreckit.lformula import (
     TwoSortedAssignment,
-    eval_fo_c,
     eval_lrec,
     parse_lsexpr,
 )
@@ -178,6 +177,6 @@ def test_eliminate_numbers_matches_two_sorted_semantics():
         lf = parse_lsexpr(text)
         cf = eliminate_numbers(lf, {"x": "x"}, nums, s.n, CACHE.interner)
         for v in range(s.n):
-            want = eval_fo_c(s, lf, TwoSortedAssignment({"x": v}, nums))
+            want = eval_lrec(s, lf, TwoSortedAssignment({"x": v}, nums))
             got = TableEvaluator(s).eval(cf, {"x": v})
             assert got == want, (text, v)

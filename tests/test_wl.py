@@ -4,12 +4,18 @@ import time
 
 import pytest
 
-from helpers import cycle_graph, disjoint_union, distinguishes, path_graph
+from helpers import (
+    class_counts,
+    cycle_graph,
+    disjoint_union,
+    distinguishes,
+    path_graph,
+)
 from lreckit import wl
 from lreckit.cformula import Interner, mk_and, mk_atom, mk_count
 from lreckit.errors import SizeMismatch, UnsupportedDimension
 from lreckit.structures import Graph
-from lreckit.wl import class_counts, distinguish, rounds
+from lreckit.wl import distinguish, rounds
 
 
 def star(n):
