@@ -123,6 +123,28 @@ def test_possible_ends_are_the_first_cliques_of_brute_force_orders():
                 possible_ends(g)
 
 
+def test_consecutive_orderings_path_and_c4():
+    p3 = path_graph(3)
+    assert len(consecutive_orders(p3)) == 2
+    assert is_interval(p3)
+    assert possible_ends(p3) == set(maxcliques(p3))
+    c4 = cycle_graph(4)
+    assert consecutive_orders(c4) == []
+    assert not is_interval(c4)
+    star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+    assert consecutive_orders(star)
+    assert is_interval(star)
+
+
+def test_ordering_reversal_and_first_element():
+    g = h8()
+    orders = consecutive_orders(g)
+    ends = set(possible_ends(g))
+    for order in orders:
+        assert tuple(reversed(order)) in set(orders)
+        assert order[0] in ends
+
+
 def test_prec_order_h8_incomparable_pair():
     g = h8()
     anchor = frozenset({0, 1, 2, 3})
