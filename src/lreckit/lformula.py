@@ -45,6 +45,8 @@ LREC = "lrec"
 
 MAX_NUM_TUPLE = 8
 MAX_TUPLE_WIDTH = 3
+# the equality, edge and label evaluations of one quotient
+MAX_QUOTIENT_WORK = 2 ** 20
 
 # Number terms: ("var", name) | ("lit", value) | ("min",) | ("max",)
 
@@ -168,25 +170,6 @@ def decode_number(values, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """The contracted recursion graph: classes of k-tuples, lifted edges,
-    and admissible-count labels per class."""
-
-    n: int
-    k: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
-    edges: frozenset[tuple[int, int]]
-    labels: tuple[frozenset[int], ...]
-    closure_changed: bool
-
-    def class_of(self, tup: tuple[int, ...]) -> int:
-        for idx, members in enumerate(self.classes):
-            if tup in members:
-                return idx
-        raise MalformedInput(f"tuple {tup} is not a vertex of the quotient")
-
-
 def term_value(term: tuple, num: dict[str, int], n: int) -> int:
     """Value of a number term under the number assignment num, on a
     structure with n elements."""
@@ -291,110 +274,85 @@ class LEvaluator:
         raise AssertionError(f.kind)
 
     def _eval_lrec(self, f: LFormula, a: TwoSortedAssignment) -> bool:
+        """Contract the definable graph on V^k by the reflexive, symmetric
+        and transitive closure of the equality formula (with a warning when
+        closure changed it), label each class with the encoded iota-tuples
+        that satisfy the card formula for any member, and look the queried
+        class and resource up in X of the quotient."""
         eq_f, edge_f, card_f = f.children
-        q = build_quotient(
-            self.structure, a, len(f.y1), eq_f, edge_f, card_f, f.iotas,
-            f.y1, f.y2,
-        )
-        xtuple = tuple(a.dom[v] for v in f.xs)
-        resource = decode_number(
-            tuple(a.num[v] for v in f.kappas), self.structure.n
-        )
+        n, k, w = self.structure.n, len(f.y1), len(f.iotas)
+        if k > MAX_TUPLE_WIDTH:
+            raise UnsupportedDimension(f"tuple width {k} exceeds {MAX_TUPLE_WIDTH}")
+        if w > MAX_NUM_TUPLE:
+            # every class label would enumerate (n+1)**w tuples
+            raise SizeExceeded(f"iota width {w} exceeds {MAX_NUM_TUPLE}")
+        work = n ** (2 * k) + n ** k * (n + 1) ** w
+        if work > MAX_QUOTIENT_WORK:
+            raise SizeExceeded(f"quotient work {work} exceeds {MAX_QUOTIENT_WORK}")
+        verts = list(itertools.product(range(n), repeat=k))
+
+        def with_tuple(base, names, tup):
+            out = base.copy()
+            out.dom.update(zip(names, tup))
+            return out
+
+        def pairs(g: LFormula):
+            # every (u, v) in V^k x V^k that satisfies g
+            for u in verts:
+                au = with_tuple(a, f.y1, u)
+                for v in verts:
+                    if self.eval(g, with_tuple(au, f.y2, v)):
+                        yield u, v
+
+        # RST closure = connected components of the symmetrized relation,
+        # with every vertex reflexively in its own component.
+        parent = {u: u for u in verts}
+
+        def find(u):
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            return u
+
+        raw = 0
+        for u, v in pairs(eq_f):
+            raw += 1
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+
+        groups: dict[tuple, list] = {}
+        for u in verts:
+            groups.setdefault(find(u), []).append(u)
+        # verts is sorted, so each group is, and its first member is least
+        classes = sorted(groups.values())
+        # the raw relation is a subset of its closure, which holds len(cls)**2
+        # pairs per class; so the two differ exactly when their sizes do.
+        if raw != sum(len(cls) ** 2 for cls in classes):
+            warnings.warn(
+                "equivalence formula was not an equivalence relation; "
+                "its reflexive-symmetric-transitive closure is used"
+            )
+        index = {u: idx for idx, members in enumerate(classes) for u in members}
+        edges = frozenset((index[u], index[v]) for u, v in pairs(edge_f))
+
+        labels: list[set[int]] = [set() for _ in classes]
+        for u in verts:
+            au = with_tuple(a, f.y1, u)
+            for ivals in itertools.product(range(n + 1), repeat=w):
+                sub = au.copy()
+                sub.num.update(zip(f.iotas, ivals))
+                if self.eval(card_f, sub):
+                    labels[index[u]].add(decode_number(ivals, n))
+
+        resource = decode_number(tuple(a.num[v] for v in f.kappas), n)
         if resource < 1:
             return False
         # Labels above a class's out-degree are unattainable but harmless;
         # keeping them does not change X.
-        inst = XInstance(DiGraph(len(q.classes), q.edges),
-                         CardinalityCondition(q.labels))
-        return compute_X(inst, q.class_of(xtuple), resource)
-
-
-def build_quotient(s: RelStructure, a: TwoSortedAssignment, k: int,
-                   eq_f: LFormula, edge_f: LFormula, card_f: LFormula,
-                   iotas, y1, y2) -> QuotientGraph:
-    """Contract the definable graph on V^k by the definable equivalence.
-
-    The relation defined by eq_f is closed under reflexivity, symmetry and
-    transitivity first; a diagnostic warning is emitted when closure
-    actually changed it. Class labels collect the encoded iota-tuples
-    satisfying card_f for any member of the class.
-    """
-    if k > MAX_TUPLE_WIDTH:
-        raise UnsupportedDimension(f"tuple width {k} exceeds {MAX_TUPLE_WIDTH}")
-    y1, y2, iotas = tuple(y1), tuple(y2), tuple(iotas)
-    if len(y1) != k or len(y2) != k:
-        raise ArityMismatch(f"y1/y2 must have width {k}")
-    if len(iotas) > MAX_NUM_TUPLE:
-        # every class label would enumerate (n+1)**len(iotas) tuples
-        raise SizeExceeded(f"iota width {len(iotas)} exceeds {MAX_NUM_TUPLE}")
-    ev = LEvaluator(s)
-    verts = list(itertools.product(range(s.n), repeat=k))
-
-    def with_tuple(base: TwoSortedAssignment, names, tup) -> TwoSortedAssignment:
-        out = base.copy()
-        out.dom.update(zip(names, tup))
-        return out
-
-    raw = set()
-    for u in verts:
-        au = with_tuple(a, y1, u)
-        for v in verts:
-            if ev.eval(eq_f, with_tuple(au, y2, v)):
-                raw.add((u, v))
-
-    # RST closure = connected components of the symmetrized relation,
-    # with every vertex reflexively in its own component.
-    parent = {u: u for u in verts}
-
-    def find(u):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        return u
-
-    for u, v in raw:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    groups: dict[tuple, list] = {}
-    for u in verts:
-        groups.setdefault(find(u), []).append(u)
-    classes = tuple(
-        tuple(sorted(members))
-        for members in sorted(groups.values(), key=lambda ms: min(ms))
-    )
-    # raw is a subset of its closure, which holds len(cls)**2 pairs per
-    # class; so the two differ exactly when their sizes do.
-    closure_changed = len(raw) != sum(len(cls) ** 2 for cls in classes)
-    if closure_changed:
-        warnings.warn(
-            "equivalence formula was not an equivalence relation; "
-            "its reflexive-symmetric-transitive closure is used"
-        )
-    index = {u: idx for idx, members in enumerate(classes) for u in members}
-
-    edges = set()
-    for u in verts:
-        au = with_tuple(a, y1, u)
-        for v in verts:
-            if ev.eval(edge_f, with_tuple(au, y2, v)):
-                edges.add((index[u], index[v]))
-
-    labels: list[set[int]] = [set() for _ in classes]
-    for u in verts:
-        au = with_tuple(a, y1, u)
-        for ivals in itertools.product(range(s.n + 1), repeat=len(iotas)):
-            sub = au.copy()
-            sub.num.update(zip(iotas, ivals))
-            if ev.eval(card_f, sub):
-                labels[index[u]].add(decode_number(ivals, s.n))
-
-    return QuotientGraph(
-        s.n, k, classes, frozenset(edges),
-        tuple(frozenset(l) for l in labels),
-        closure_changed,
-    )
+        inst = XInstance(DiGraph(len(classes), edges),
+                         CardinalityCondition(tuple(map(frozenset, labels))))
+        return compute_X(inst, index[tuple(a.dom[v] for v in f.xs)], resource)
 
 
 def eval_lrec(s: RelStructure, f: LFormula,

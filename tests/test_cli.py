@@ -169,6 +169,8 @@ STRUCTURES = {
     "c-underscore.json": '{"C": {"1_0": [1]}}',
     "c-space.json": '{"C": {" 1": [1]}}',
     "c-plus.json": '{"C": {"+1": [1]}}',
+    "forty.json": '{"n": 40, "rels": {"E": [[0, 1]]}}',
+    "six.json": '{"n": 6, "rels": {"E": [[0, 1]]}}',
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -178,6 +180,21 @@ NINE_IOTAS = ["lrec-eval", "three.json", "--sexpr",
               "(lrec (y1) (y2) (" + " ".join(["i"] * 9) + ") (eq y1 y2)"
               " (atom E y1 y2) (bool f) (x) (k))",
               "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
+# refused before any evaluation: 40**4 pairs of 2-tuples, and 6 * 7**7
+# label evaluations; both above MAX_QUOTIENT_WORK
+WIDE_QUOTIENT = ["lrec-eval", "forty.json", "--sexpr",
+                 "(lrec (y1 z1) (y2 z2) (i) (eq y1 y2) (atom E y1 y2)"
+                 " (bool f) (x z) (k))",
+                 "--assign", '{"dom": {"x": 0, "z": 0}, "num": {"k": 1}}']
+SEVEN_IOTAS = ["lrec-eval", "six.json", "--sexpr",
+               "(lrec (y1) (y2) (" + " ".join(["i"] * 7) + ") (eq y1 y2)"
+               " (atom E y1 y2) (bool f) (x) (k))",
+               "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
+# variables that only the equality formula reads are not free in the lrec
+# node, yet evaluating the quotient needs them
+EQ_ONLY = ["(lrec (y1) (y2) (i) (eq y1 z) (atom E y1 y2) (bool t) (x) (k))",
+           "(lrec (y1) (y2) (i) (and (eq y1 y2) (num-eq j 0)) (atom E y1 y2)"
+           " (bool t) (x) (k))"]
 WIDE_ATOM = ["eval", "three.json", "--sexpr",
              "(atom E " + " ".join(["x"] * 13) + ")", "--assign", '{"x": 0}']
 # the conjunction under five quantifiers is a table of 60 ** 5 cells
@@ -244,6 +261,11 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
      "MalformedInput"),
     (["oracle", "g.json", "--cond", "c-space.json"], "MalformedInput"),
     (["oracle", "g.json", "--cond", "c-plus.json"], "MalformedInput"),
+    (WIDE_QUOTIENT, "SizeExceeded"),
+    (SEVEN_IOTAS, "SizeExceeded"),
+    *((["lrec-eval", "edge.json", "--sexpr", text, "--assign",
+        '{"dom": {"x": 0}, "num": {"k": 1}}'], "UnboundVariable")
+      for text in EQ_ONLY),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):

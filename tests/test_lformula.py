@@ -1,6 +1,10 @@
+import re
+import warnings
+
 import pytest
 
 from helpers import fig1_instance
+from lrec_battery import BATTERY, STRUCTURES
 from lreckit.errors import (
     IdOutOfRange,
     MalformedInput,
@@ -10,7 +14,6 @@ from lreckit.errors import (
 from lreckit.lformula import (
     LEvaluator,
     TwoSortedAssignment,
-    build_quotient,
     eval_lrec,
     parse_lsexpr,
     print_lsexpr,
@@ -151,39 +154,65 @@ def test_lrec_matches_direct_recursion():
 
 
 def test_quotient_contracts_equivalent_elements():
-    # two P-labelled elements are merged; the third stays alone
+    # the two P-labelled elements 1 and 2 are merged, 0 stays alone; 0
+    # needs exactly one child in X, the P class none
     s = struct(3, [(0, 1), (0, 2)], p=[1, 2])
-    f_eq = parse_lsexpr(
-        "(or (eq y1 y2) (and (atom P y1) (atom P y2)))"
-    )
-    f_edge = parse_lsexpr("(atom E y1 y2)")
-    f_card = parse_lsexpr("(num-eq i 0)")
-    q = build_quotient(
-        s, TwoSortedAssignment(), 1, f_eq, f_edge, f_card, ("i",), ("y1",), ("y2",)
-    )
-    assert len(q.classes) == 2
-    assert q.class_of((1,)) == q.class_of((2,))
-    assert q.class_of((0,)) != q.class_of((1,))
-    assert not q.closure_changed
+    card = ("(or (and (atom P y1) (num-eq i 0))"
+            " (and (not (atom P y1)) (num-eq i 1)))")
+
+    def answers(eq):
+        f = parse_lsexpr("(lrec (y1) (y2) (i) " + eq + " (atom E y1 y2) "
+                         + card + " (x) (k))")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return [eval_lrec(s, f, TwoSortedAssignment({"x": 0}, {"k": m}))
+                    for m in range(4)]
+
+    merged = answers("(or (eq y1 y2) (and (atom P y1) (atom P y2)))")
+    assert merged == [False, False, True, True]
+    assert answers("(eq y1 y2)") == [False] * 4
 
 
 def test_quotient_closes_non_equivalences_with_warning():
-    s = struct(3, [])
-    f_eq = parse_lsexpr("(and (atom P y1) (not (atom P y2)))")
     s = struct(3, [], p=[0])
+    f = parse_lsexpr("(lrec (y1) (y2) (i) (and (atom P y1) (not (atom P y2)))"
+                     " (bool f) (bool f) (x) (k))")
     with pytest.warns(UserWarning, match="closure"):
-        q = build_quotient(
-            s,
-            TwoSortedAssignment(),
-            1,
-            f_eq,
-            parse_lsexpr("(bool f)"),
-            parse_lsexpr("(bool f)"),
-            ("i",),
-            ("y1",),
-            ("y2",),
-        )
-    assert q.closure_changed
+        assert not eval_lrec(s, f, TwoSortedAssignment({"x": 0}, {"k": 1}))
+
+
+@pytest.mark.parametrize("width, n_max", [(2, 3), (3, 2)])
+def test_wide_tuples_that_read_one_component_match_width_one(width, n_max):
+    # each one-resource battery formula, rewritten to read only the first
+    # components a of y1 and c of y2; nothing reads the padding components,
+    # so the quotient of V^width is the width-1 quotient
+    pad = range(1, width)
+
+    def names(first, prefix):
+        return "(" + " ".join([first] + [f"{prefix}{j}" for j in pad]) + ")"
+
+    def widened(text):
+        return re.sub(r"\by2\b", "c", re.sub(r"\by1\b", "a", text))
+
+    checked = 0
+    for eq, edge, card, kappas, f in BATTERY:
+        if kappas != ("k",):
+            continue
+        wide = parse_lsexpr(" ".join([
+            "(lrec", names("a", "b"), names("c", "d"), "(i)", widened(eq),
+            widened(edge), widened(card), names("x", "x"), "(k))"]))
+        for s in STRUCTURES:
+            if s.n > n_max:
+                continue
+            for m in range(s.n + 1):
+                for v in range(s.n):
+                    # the padded query components name another element
+                    dom = {"x": v, **{f"x{j}": (v + 1) % s.n for j in pad}}
+                    want = eval_lrec(s, f, TwoSortedAssignment({"x": v}, {"k": m}))
+                    got = eval_lrec(s, wide, TwoSortedAssignment(dom, {"k": m}))
+                    assert got == want, (print_lsexpr(f), s.n, m, v)
+                    checked += 1
+    assert checked == {2: 1134, 3: 378}[width]
 
 
 def test_lrec_on_encoded_instance_via_label_predicates():
