@@ -117,18 +117,17 @@ class LFormula:
             if not self.iotas or not self.kappas:
                 raise ArityMismatch("iota and kappa tuples must be non-empty")
             eq_f, edge_f, card_f = self.children
-            hidden_edge = set(self.y1) | set(self.y2)
-            hidden_card = set(self.y1) | set(self.iotas)
-            # free(lrec) = (free(edge) \ (y1+y2)) + (free(card) \ (y1+iotas))
-            #              + xs + kappas; the equivalence formula is expected
-            # to use only y1/y2, any extras simply read the outer assignment
+            pairs = set(self.y1) | set(self.y2)
+            # free(lrec) = (free(eq) + free(edge)) \ (y1+y2)
+            #              + (free(card) \ (y1+iotas)) + xs + kappas
             self.dom_free = frozenset(
-                (edge_f.dom_free - hidden_edge)
+                ((eq_f.dom_free | edge_f.dom_free) - pairs)
                 | (card_f.dom_free - set(self.y1))
                 | set(self.xs)
             )
             self.num_free = frozenset(
-                edge_f.num_free
+                eq_f.num_free
+                | edge_f.num_free
                 | (card_f.num_free - set(self.iotas))
                 | set(self.kappas)
             )

@@ -190,8 +190,7 @@ SEVEN_IOTAS = ["lrec-eval", "six.json", "--sexpr",
                "(lrec (y1) (y2) (" + " ".join(["i"] * 7) + ") (eq y1 y2)"
                " (atom E y1 y2) (bool f) (x) (k))",
                "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
-# variables that only the equality formula reads are not free in the lrec
-# node, yet evaluating the quotient needs them
+# variables that only the equality formula reads are free in the lrec node
 EQ_ONLY = ["(lrec (y1) (y2) (i) (eq y1 z) (atom E y1 y2) (bool t) (x) (k))",
            "(lrec (y1) (y2) (i) (and (eq y1 y2) (num-eq j 0)) (atom E y1 y2)"
            " (bool t) (x) (k))"]

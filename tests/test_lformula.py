@@ -1,3 +1,4 @@
+import itertools
 import re
 import warnings
 
@@ -179,6 +180,41 @@ def test_quotient_closes_non_equivalences_with_warning():
                      " (bool f) (bool f) (x) (k))")
     with pytest.warns(UserWarning, match="closure"):
         assert not eval_lrec(s, f, TwoSortedAssignment({"x": 0}, {"k": 1}))
+
+
+# the equality formula merges the in-neighbours of z, which no other part
+# of the lrec node reads
+EQ_READS_Z = ("(lrec (a) (b) (j) (or (eq a b) (and (atom E a z) (atom E b z)))"
+              " (atom E a b) (or (and (atom P a) (num-eq j 0))"
+              " (and (not (atom P a)) (num-eq j 1))) {x} (m))")
+
+
+@pytest.mark.parametrize("text", [
+    EQ_READS_Z.format(x="(x)"),
+    # the outer lrec queries z, and the inner one sits in its edge formula
+    "(lrec (y1) (y2) (i) (eq y1 y2) (and (atom E y1 y2) "
+    + EQ_READS_Z.format(x="(y2)") + ") (num-eq i 0) (z) (k))",
+], ids=["plain", "nested"])
+def test_lrec_rereads_what_only_its_equality_formula_reads(text):
+    f = parse_lsexpr(text)
+    counted = parse_lsexpr(f"(count-dom z {text} c)")
+    differ = 0
+    for s in STRUCTURES:
+        for x, k, m in itertools.product(range(s.n), (1, 2), (1, 2)):
+            num = {"k": k, "m": m}
+            # one fresh evaluator per value of z
+            want = [eval_lrec(s, f, TwoSortedAssignment({"x": x, "z": z}, num))
+                    for z in range(s.n)]
+            shared = LEvaluator(s)
+            got = [shared.eval(f, TwoSortedAssignment({"x": x, "z": z}, num))
+                   for z in range(s.n)]
+            assert got == want, (s.n, x, k, m)
+            for c in range(s.n + 1):
+                a = TwoSortedAssignment({"x": x}, {**num, "c": c})
+                assert eval_lrec(s, counted, a) == (c == sum(want)), (s.n, x, c)
+            differ += len(set(want)) > 1
+    # the answer does depend on z
+    assert differ > 0
 
 
 @pytest.mark.parametrize("width, n_max", [(2, 3), (3, 2)])
