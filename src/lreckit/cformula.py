@@ -70,6 +70,7 @@ class CFormula:
         "varnames",
         "free_vars",
         "fv",
+        "order",
     )
 
     def __init__(self, kind, *, value=None, vars=(), symbol=None, children=(),
@@ -115,6 +116,7 @@ def _derive(node: CFormula) -> None:
         node.free_vars = child.free_vars - {node.bound_var}
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    node.order = None  # nodes(node), listed by the first table evaluation
     # most nodes have a child with the same free variables: share its tuple
     for c in children:
         if c.free_vars == node.free_vars:
@@ -362,7 +364,8 @@ class TableEvaluator:
     last variable varies fastest): n**k cells for k variables. NOT, AND
     and OR are one int operation per child. Each DAG node is processed
     once; sharing across queries (different assignments, different roots
-    over a common sub-DAG) is free.
+    over a common sub-DAG) is free. A root's nodes are listed once, on the
+    first evaluator that meets it, and kept on the root for every later one.
     """
 
     def __init__(self, structure: RelStructure):
@@ -370,6 +373,8 @@ class TableEvaluator:
         self._memo: dict[int, int] = {}
         self._readers: dict[tuple, Callable[[int], int]] = {}
         self._masks: dict[int, int] = {}
+        self._spreads: dict[tuple, tuple[int, Callable | None]] = {}
+        self._passes: dict[tuple, frozenset[int]] = {}
 
     def _cells(self, k: int) -> int:
         """n**k, the cells of a table over k variables, if it may be built."""
@@ -418,35 +423,67 @@ class TableEvaluator:
             return t
         return read
 
+    def _passing(self, mode: str, threshold: int) -> frozenset[int]:
+        """The witness counts in [0, n] that satisfy (mode, threshold)."""
+        passing = self._passes.get((mode, threshold))
+        if passing is None:
+            passing = self._passes[mode, threshold] = frozenset(
+                count for count in range(self.structure.n + 1)
+                if _compare(count, mode, threshold))
+        return passing
+
+    def _spread(self, kc: int, inner: int) -> tuple[int, Callable | None]:
+        """For a child table over kc variables whose bound variable has
+        `inner` cells after it: the mask of the cells where the bound
+        variable is 0, and the function that moves those cells together
+        (None when they already are)."""
+        got = self._spreads.get((kc, inner))
+        if got is None:
+            n = self.structure.n
+            cells, block = n ** kc, n * inner
+            sel = ((1 << inner) - 1) * (((1 << cells) - 1) // ((1 << block) - 1))
+            squeeze = None
+            if block < cells:
+                # a binary string lists the cells last first, so the blocks
+                # where the bound variable is 0 are the n-th, 2n-th, ...;
+                # blocks of one cell are the string's own characters
+                fmt = f"0{cells}b"
+                split = re.compile(f".{{{inner}}}").findall if inner > 1 else str
+
+                def squeeze(t):
+                    return int("".join(split(format(t, fmt))[n - 1::n]), 2)
+            got = self._spreads[kc, inner] = sel, squeeze
+        return got
+
     def _count(self, f: CFormula, t: int, cv: tuple) -> int:
         """The table of the COUNT node f from its child's table t over cv."""
-        n, k = self.structure.n, len(f.fv)
-        width, mask = n ** k, self._mask(k)
-        if n == 1 or f.bound_var not in cv:
-            slices = [t] * n
-        elif cv[0] == f.bound_var:
-            slices = [t >> d * width & mask for d in range(n)]
-        else:
-            # blocks of cells with the bound variable at d, one in n
-            inner = n ** (len(cv) - 1 - cv.index(f.bound_var))
-            bits = format(t, f"0{n * width}b")
-            blocks = re.findall(f".{{{inner}}}", bits) if inner > 1 else bits
-            slices = [int("".join(blocks[n - 1 - d::n]), 2) for d in range(n)]
+        n, b = self.structure.n, f.bound_var
+        passing = self._passing(f.mode, f.threshold)
+        if n == 1 or b not in cv:
+            # every cell has 0 or n witnesses
+            mask = self._mask(len(f.fv))
+            return ((t if n in passing else 0)
+                    | (t ^ mask if 0 in passing else 0))
+        inner = n ** (len(cv) - 1 - cv.index(b))
+        sel, squeeze = self._spread(len(cv), inner)
         planes = []  # planes[i]: bit i of every cell's witness count
-        for carry in slices:
+        for d in range(n):
+            # the cells of t where the bound variable is d, moved to where
+            # it is 0
+            carry = t >> d * inner & sel
             for i, plane in enumerate(planes):
                 planes[i], carry = plane ^ carry, plane & carry
             if carry:
                 planes.append(carry)
         tbl = 0
-        # no cell counts past what the planes hold
-        for count in range(min(n, (1 << len(planes)) - 1) + 1):
-            if _compare(count, f.mode, f.threshold):
-                hit = mask
-                for i, plane in enumerate(planes):
-                    hit &= plane if count >> i & 1 else ~plane
-                tbl |= hit
-        return tbl
+        for count in passing:
+            if count >> len(planes):
+                continue  # no cell counts past what the planes hold
+            hit = sel
+            for i, plane in enumerate(planes):
+                hit &= plane if count >> i & 1 else ~plane
+            tbl |= hit
+        return squeeze(tbl) if squeeze else tbl
 
     def _leaf(self, f: CFormula) -> int:
         n = self.structure.n
@@ -473,9 +510,18 @@ class TableEvaluator:
     def _tables(self, root: CFormula) -> int:
         """Fill the memo for every node under root; root's table."""
         memo, readers = self._memo, self._readers
+        tbl = memo.get(root.nid)
+        if tbl is not None:
+            return tbl
+        if root.order is None:
+            root.order = nodes(root)
         # one element: every table is one cell, the same over any variables
         wide = self.structure.n > 1
-        for f in nodes(root, memo):
+        # the memo holds whole sub-DAGs, so skipping its nodes leaves what
+        # nodes(root, memo) would list
+        for f in root.order:
+            if f.nid in memo:
+                continue
             kind, fv = f.kind, f.fv
             if kind == AND or kind == OR:
                 conj = kind == AND

@@ -45,7 +45,8 @@ LREC = "lrec"
 
 MAX_NUM_TUPLE = 8
 MAX_TUPLE_WIDTH = 3
-# the equality, edge and label evaluations of one quotient
+# the equality, edge and label evaluations of every quotient that one
+# evaluation may build
 MAX_QUOTIENT_WORK = 2 ** 20
 
 # Number terms: ("var", name) | ("lit", value) | ("min",) | ("max",)
@@ -193,6 +194,8 @@ class LEvaluator:
     def __init__(self, structure: RelStructure):
         self.structure = structure
         self._memo: dict[tuple, bool] = {}
+        # the formulas whose quotient work _check_work has passed
+        self._bounded: set[LFormula] = set()
 
     def eval(self, f: LFormula, a: TwoSortedAssignment | None = None) -> bool:
         """Truth of f under a. Raises IdOutOfRange for a domain value that
@@ -213,7 +216,50 @@ class LEvaluator:
             raise UnboundVariable(
                 f"unassigned variables: {sorted(missing_d | missing_n)}"
             )
+        if f not in self._bounded:
+            self._check_work(f)
+            self._bounded.add(f)
         return self._eval(f, a)
+
+    def _check_work(self, top: LFormula) -> None:
+        """Refuse top before any quotient is built if its lrec nodes could
+        take more than MAX_QUOTIENT_WORK evaluations in all.
+
+        An lrec node g builds one quotient, of n^(2k) + n^k (n+1)^w equality,
+        edge and label evaluations, per memo key: per assignment of those of
+        its free variables that top's assignment does not fix, that is,
+        that are not free in top or are bound again on the way to g."""
+        n = self.structure.n
+        total = 0
+        stack = [(top, top.dom_free, top.num_free)]
+        while stack:
+            g, dom, num = stack.pop()
+            kind, children = g.kind, g.children
+            if kind in (LEXISTS, COUNTDOM):
+                stack.append((children[0], dom - {g.bound_var}, num))
+            elif kind in (NUMEXISTS, COUNTNUM):
+                stack.append((children[0], dom, num - {g.bound_var}))
+            elif kind == LREC:
+                k, w = len(g.y1), len(g.iotas)
+                if k > MAX_TUPLE_WIDTH:
+                    raise UnsupportedDimension(
+                        f"tuple width {k} exceeds {MAX_TUPLE_WIDTH}")
+                if w > MAX_NUM_TUPLE:
+                    # every class label would enumerate (n+1)**w tuples
+                    raise SizeExceeded(
+                        f"iota width {w} exceeds {MAX_NUM_TUPLE}")
+                total += ((n ** (2 * k) + n ** k * (n + 1) ** w)
+                          * n ** len(g.dom_free - dom)
+                          * (n + 1) ** len(g.num_free - num))
+                eq_f, edge_f, card_f = children
+                pair = dom - set(g.y1) - set(g.y2)
+                stack += [(eq_f, pair, num), (edge_f, pair, num),
+                          (card_f, dom - set(g.y1), num - set(g.iotas))]
+            else:
+                stack += [(c, dom, num) for c in children]
+        if total > MAX_QUOTIENT_WORK:
+            raise SizeExceeded(
+                f"quotient work {total} exceeds {MAX_QUOTIENT_WORK}")
 
     def _eval(self, f: LFormula, a: TwoSortedAssignment) -> bool:
         # Keyed on the node itself (identity hash): the memo keeps f alive,
@@ -280,14 +326,6 @@ class LEvaluator:
         class and resource up in X of the quotient."""
         eq_f, edge_f, card_f = f.children
         n, k, w = self.structure.n, len(f.y1), len(f.iotas)
-        if k > MAX_TUPLE_WIDTH:
-            raise UnsupportedDimension(f"tuple width {k} exceeds {MAX_TUPLE_WIDTH}")
-        if w > MAX_NUM_TUPLE:
-            # every class label would enumerate (n+1)**w tuples
-            raise SizeExceeded(f"iota width {w} exceeds {MAX_NUM_TUPLE}")
-        work = n ** (2 * k) + n ** k * (n + 1) ** w
-        if work > MAX_QUOTIENT_WORK:
-            raise SizeExceeded(f"quotient work {work} exceeds {MAX_QUOTIENT_WORK}")
         verts = list(itertools.product(range(n), repeat=k))
 
         def with_tuple(base, names, tup):

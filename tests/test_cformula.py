@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -94,6 +95,18 @@ def test_recursive_and_table_evaluators_agree(s, f):
     assert Evaluator(s).eval(f, assign) == TableEvaluator(s).eval(f, assign)
 
 
+def assert_cells_match(ev, f):
+    """Every cell of f's table in the TableEvaluator ev equals the
+    recursive Evaluator's value under that cell's assignment."""
+    fv, cells = ev.table(f)
+    assert fv == tuple(sorted(f.free_vars))
+    ref = Evaluator(ev.structure)
+    values = list(itertools.product(range(ev.structure.n), repeat=len(fv)))
+    assert len(cells) == len(values)
+    for cell, a in zip(cells, values):
+        assert cell == ref.eval(f, dict(zip(fv, a)))
+
+
 @settings(max_examples=200)
 @given(structures(), structures(), formulas())
 def test_every_table_cell_matches_the_recursive_evaluator(s, t, f):
@@ -101,13 +114,37 @@ def test_every_table_cell_matches_the_recursive_evaluator(s, t, f):
     # that kept anything of the first structure would misread the second
     assume(s.n != t.n)
     for structure in (s, t):
-        fv, cells = TableEvaluator(structure).table(f)
-        assert fv == tuple(sorted(f.free_vars))
-        ref = Evaluator(structure)
-        values = list(itertools.product(range(structure.n), repeat=len(fv)))
-        assert len(cells) == len(values)
-        for cell, a in zip(cells, values):
-            assert cell == ref.eval(f, dict(zip(fv, a)))
+        assert_cells_match(TableEvaluator(structure), f)
+
+
+@settings(max_examples=100)
+@given(structures(), structures(), formulas(), formulas(), st.booleans())
+def test_roots_that_share_a_sub_dag_match_the_recursive_evaluator(
+        s, t, g, h, g_first):
+    # a root's node order is kept on the root; nodes that an earlier root
+    # put in the memo are skipped, and a later evaluator on another n
+    # reuses the order
+    assume(s.n != t.n)
+    f = mk_and([g, h], ITN)
+    ev = TableEvaluator(s)
+    for root in (g, f) if g_first else (f, g):
+        assert_cells_match(ev, root)
+    assert_cells_match(TableEvaluator(t), f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", [">=", "=", "<="])
+# the child is over (a, b, c): the bound variable is absent, first, middle
+# or last
+@pytest.mark.parametrize("bound", ["d", "a", "b", "c"])
+def test_count_matches_the_recursive_evaluator(n, mode, bound):
+    rng = random.Random(n)
+    triples = itertools.product(range(n), repeat=3)
+    s = RelStructure(VOC, n, {"R": {u for u in triples if rng.random() < 0.5}})
+    child = mk_atom("R", ("a", "b", "c"), ITN)
+    ev = TableEvaluator(s)
+    for threshold in range(n + 2):
+        assert_cells_match(ev, mk_count(mode, threshold, bound, child, ITN))
 
 
 @settings(max_examples=150)

@@ -171,6 +171,8 @@ STRUCTURES = {
     "c-plus.json": '{"C": {"+1": [1]}}',
     "forty.json": '{"n": 40, "rels": {"E": [[0, 1]]}}',
     "six.json": '{"n": 6, "rels": {"E": [[0, 1]]}}',
+    "ring40.json": json.dumps(
+        {"n": 40, "rels": {"E": [[u, (u + 1) % 40] for u in range(40)]}}),
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -190,6 +192,19 @@ SEVEN_IOTAS = ["lrec-eval", "six.json", "--sexpr",
                "(lrec (y1) (y2) (" + " ".join(["i"] * 7) + ") (eq y1 y2)"
                " (atom E y1 y2) (bool f) (x) (k))",
                "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
+# each quotient is under MAX_QUOTIENT_WORK (3,240 and 68,840 evaluations),
+# but the inner one is built again for each of the 40 values of y2
+NESTED_RING = ["lrec-eval", "ring40.json", "--sexpr",
+               "(lrec (y1) (y2) (i) (eq y1 y2) (and (atom E y1 y2)"
+               " (lrec (a) (b) (j l) (eq a b) (atom E a b) (num-le j l)"
+               " (y2) (m))) (num-le i 1) (x) (k))",
+               "--assign", '{"dom": {"x": 0}, "num": {"k": 2, "m": 1}}']
+# x is free in the formula but bound again above the lrec, whose quotient
+# (68,840 evaluations) is then built for each of the 40 values of x
+REBOUND_X = ["lrec-eval", "forty.json", "--sexpr",
+             "(or (atom E x x) (exists x (lrec (y1) (y2) (i j) (eq y1 y2)"
+             " (atom E y1 y2) (bool f) (x) (k))))",
+             "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
 # variables that only the equality formula reads are free in the lrec node
 EQ_ONLY = ["(lrec (y1) (y2) (i) (eq y1 z) (atom E y1 y2) (bool t) (x) (k))",
            "(lrec (y1) (y2) (i) (and (eq y1 y2) (num-eq j 0)) (atom E y1 y2)"
@@ -265,6 +280,8 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     *((["lrec-eval", "edge.json", "--sexpr", text, "--assign",
         '{"dom": {"x": 0}, "num": {"k": 1}}'], "UnboundVariable")
       for text in EQ_ONLY),
+    (NESTED_RING, "SizeExceeded"),
+    (REBOUND_X, "SizeExceeded"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
