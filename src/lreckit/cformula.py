@@ -11,7 +11,6 @@ default.
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Callable
 from operator import mul
 from typing import Iterable
@@ -356,13 +355,19 @@ class Evaluator:
         raise AssertionError(f.kind)
 
 
+def _repeat(pattern: int, period: int, times: int) -> int:
+    """`times` copies of pattern, the first at cell 0, `period` cells apart."""
+    return pattern * (((1 << period * times) - 1) // ((1 << period) - 1))
+
+
 class TableEvaluator:
     """Bottom-up model checker: one truth table per interned node.
 
-    A table is an int whose bit i is the node's value under the i-th
-    assignment of its sorted free variables `fv`, in row-major order (the
-    last variable varies fastest): n**k cells for k variables. NOT, AND
-    and OR are one int operation per child. Each DAG node is processed
+    A table is an int over the node's sorted free variables `fv`: bit i is
+    cell i, the i-th assignment in row-major order (the last variable
+    varies fastest), n**k cells for k variables. NOT, AND and OR are one
+    int operation per child; a child read inserts axes and COUNT removes
+    one, both by the block moves of `_gaps`. Each DAG node is processed
     once; sharing across queries (different assignments, different roots
     over a common sub-DAG) is free. A root's nodes are listed once, on the
     first evaluator that meets it, and kept on the root for every later one.
@@ -373,8 +378,7 @@ class TableEvaluator:
         self._memo: dict[int, int] = {}
         self._readers: dict[tuple, Callable[[int], int]] = {}
         self._masks: dict[int, int] = {}
-        self._spreads: dict[tuple, tuple[int, Callable | None]] = {}
-        self._passes: dict[tuple, frozenset[int]] = {}
+        self._moves: dict[tuple, tuple[int, list]] = {}
 
     def _cells(self, k: int) -> int:
         """n**k, the cells of a table over k variables, if it may be built."""
@@ -391,81 +395,65 @@ class TableEvaluator:
             mask = self._masks[k] = (1 << self._cells(k)) - 1
         return mask
 
+    def _gaps(self, blocks: int, inner: int, stride: int) -> tuple:
+        """Block j of `blocks` blocks of `inner` cells moves from cell
+        j*inner to cell j*stride: the mask of the cells it lands on, and the
+        (mask, shift) steps; step k moves the upper half of every group of
+        2**(k+1) blocks, which its mask holds, left by 2**k gaps of
+        stride - inner cells. Run in reverse, right shifts into the masks
+        move the blocks back."""
+        got = self._moves.get((blocks, inner, stride))
+        if got is None:
+            steps = []
+            for k in reversed(range((blocks - 1).bit_length())):
+                half = 1 << k
+                upper = ((1 << half * inner) - 1) << half * inner
+                steps.append((_repeat(upper, 2 * half * stride,
+                                      -(-blocks // (2 * half))),
+                              half * (stride - inner)))
+            got = self._moves[blocks, inner, stride] = (
+                _repeat((1 << inner) - 1, stride, blocks), steps)
+        return got
+
     def _reader(self, cv: tuple, fv: tuple) -> Callable[[int], int]:
         """The function that reads a table over the sorted variables cv as
         a table over fv, a sorted superset; built once per (cv, fv) pair.
 
-        Adding the variable at position p of fv copies n times each block
-        of cells over the variables after it: the blocks are spaced apart
-        (a binary string lists the cells last first), then copied by one
-        multiplication."""
+        Inserting the variable at position p of fv moves the n**p blocks of
+        cells over the variables after it n times their size apart
+        (`_gaps`), then copies each n times by one multiplication."""
         n = self.structure.n
         self._cells(len(fv))
-        steps = []
+        moves = []
         for p, v in enumerate(fv):
             if v not in cv:
                 inner = n ** sum(u in cv for u in fv[p + 1:])
-                steps.append((
-                    f"0{n ** p * inner}b" if p else None,
-                    re.compile(f".{{{inner}}}") if inner > 1 else None,
-                    "0" * ((n - 1) * inner),
-                    ((1 << inner * n) - 1) // ((1 << inner) - 1)))
-        if len(steps) == 1 and steps[0][0] is None:
-            return steps[0][3].__mul__
+                moves.append((self._gaps(n ** p, inner, n * inner)[1],
+                              _repeat(1, inner, n)))
+        if len(moves) == 1 and not moves[0][0]:
+            return moves[0][1].__mul__
 
         def read(t):
-            for fmt, block, zeros, repeat in steps:
-                if fmt:
-                    bits = format(t, fmt)
-                    t = int(zeros.join(block.findall(bits) if block else bits),
-                            2)
+            for steps, repeat in moves:
+                for mask, shift in steps:
+                    x = t & mask
+                    t = t ^ x | x << shift
                 t *= repeat
             return t
         return read
 
-    def _passing(self, mode: str, threshold: int) -> frozenset[int]:
-        """The witness counts in [0, n] that satisfy (mode, threshold)."""
-        passing = self._passes.get((mode, threshold))
-        if passing is None:
-            passing = self._passes[mode, threshold] = frozenset(
-                count for count in range(self.structure.n + 1)
-                if _compare(count, mode, threshold))
-        return passing
-
-    def _spread(self, kc: int, inner: int) -> tuple[int, Callable | None]:
-        """For a child table over kc variables whose bound variable has
-        `inner` cells after it: the mask of the cells where the bound
-        variable is 0, and the function that moves those cells together
-        (None when they already are)."""
-        got = self._spreads.get((kc, inner))
-        if got is None:
-            n = self.structure.n
-            cells, block = n ** kc, n * inner
-            sel = ((1 << inner) - 1) * (((1 << cells) - 1) // ((1 << block) - 1))
-            squeeze = None
-            if block < cells:
-                # a binary string lists the cells last first, so the blocks
-                # where the bound variable is 0 are the n-th, 2n-th, ...;
-                # blocks of one cell are the string's own characters
-                fmt = f"0{cells}b"
-                split = re.compile(f".{{{inner}}}").findall if inner > 1 else str
-
-                def squeeze(t):
-                    return int("".join(split(format(t, fmt))[n - 1::n]), 2)
-            got = self._spreads[kc, inner] = sel, squeeze
-        return got
-
     def _count(self, f: CFormula, t: int, cv: tuple) -> int:
         """The table of the COUNT node f from its child's table t over cv."""
         n, b = self.structure.n, f.bound_var
-        passing = self._passing(f.mode, f.threshold)
+        # the witness counts that pass
+        passing = [c for c in range(n + 1) if _compare(c, f.mode, f.threshold)]
         if n == 1 or b not in cv:
             # every cell has 0 or n witnesses
             mask = self._mask(len(f.fv))
             return ((t if n in passing else 0)
                     | (t ^ mask if 0 in passing else 0))
         inner = n ** (len(cv) - 1 - cv.index(b))
-        sel, squeeze = self._spread(len(cv), inner)
+        sel, steps = self._gaps(n ** cv.index(b), inner, n * inner)
         planes = []  # planes[i]: bit i of every cell's witness count
         for d in range(n):
             # the cells of t where the bound variable is d, moved to where
@@ -483,7 +471,10 @@ class TableEvaluator:
             for i, plane in enumerate(planes):
                 hit &= plane if count >> i & 1 else ~plane
             tbl |= hit
-        return squeeze(tbl) if squeeze else tbl
+        for mask, shift in reversed(steps):  # the blocks of sel together
+            x = tbl >> shift & mask
+            tbl = tbl ^ x << shift | x
+        return tbl
 
     def _leaf(self, f: CFormula) -> int:
         n = self.structure.n
@@ -546,11 +537,6 @@ class TableEvaluator:
                 tbl = self._leaf(f)
             memo[f.nid] = tbl
         return memo[root.nid]
-
-    def table(self, root: CFormula) -> tuple[tuple[str, ...], list[bool]]:
-        """root's sorted free variables and its cells in row-major order."""
-        bits = format(self._tables(root), f"0{self._cells(len(root.fv))}b")
-        return root.fv, [b == "1" for b in reversed(bits)]
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:
         n = self.structure.n

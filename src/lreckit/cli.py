@@ -30,6 +30,9 @@ from .xfix import XInstance, compute_X, parse_cardinality
 # lower; it admits the 24-vertex band DAG, 86,966 nodes.
 MAX_PRINTED_NODES = 20_000_000
 MAX_DECOMPOSED_NODES = 100_000
+# the largest oracle sweep, in (vertex, i) pairs, and verify corpus
+MAX_ORACLE_PAIRS = 2 ** 20
+MAX_VERIFY_COUNT = 10_000
 
 
 def _read(path: str) -> str:
@@ -98,6 +101,9 @@ def cmd_lrec_eval(args):
 
 def cmd_oracle(args):
     g, c = _load_instance(args)
+    if g.n * args.max_i > MAX_ORACLE_PAIRS:
+        raise SizeExceeded(f"--max-i {args.max_i} over {g.n} vertices sweeps"
+                           f" more than {MAX_ORACLE_PAIRS} pairs")
     inst = XInstance(g, c)
     members = [
         [v, i]
@@ -122,6 +128,9 @@ def cmd_compile(args):
 
 
 def cmd_verify(args):
+    if args.count > MAX_VERIFY_COUNT:
+        raise SizeExceeded(f"--count {args.count} is more than"
+                           f" {MAX_VERIFY_COUNT} instances")
     params = compiler.CompileParams(args.n, args.r)
     instances = corpus.generate_corpus(args.seed, args.n, args.count)
     checked, mismatches = compiler.check_against_oracle(

@@ -97,14 +97,15 @@ def test_recursive_and_table_evaluators_agree(s, f):
 
 def assert_cells_match(ev, f):
     """Every cell of f's table in the TableEvaluator ev equals the
-    recursive Evaluator's value under that cell's assignment."""
-    fv, cells = ev.table(f)
+    recursive Evaluator's value under that cell's assignment, and the
+    table sets no bit past its n**k cells."""
+    fv, n = f.fv, ev.structure.n
     assert fv == tuple(sorted(f.free_vars))
     ref = Evaluator(ev.structure)
-    values = list(itertools.product(range(ev.structure.n), repeat=len(fv)))
-    assert len(cells) == len(values)
-    for cell, a in zip(cells, values):
-        assert cell == ref.eval(f, dict(zip(fv, a)))
+    for values in itertools.product(range(n), repeat=len(fv)):
+        a = dict(zip(fv, values))
+        assert ev.eval(f, a) == ref.eval(f, a)
+    assert 0 <= ev._tables(f) < 1 << n ** len(fv)
 
 
 @settings(max_examples=200)
@@ -132,7 +133,9 @@ def test_roots_that_share_a_sub_dag_match_the_recursive_evaluator(
     assert_cells_match(TableEvaluator(t), f)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+# n = 5 with the bound variable c moves 25 blocks: the last group of every
+# step is partly filled
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("mode", [">=", "=", "<="])
 # the child is over (a, b, c): the bound variable is absent, first, middle
 # or last
@@ -145,6 +148,24 @@ def test_count_matches_the_recursive_evaluator(n, mode, bound):
     ev = TableEvaluator(s)
     for threshold in range(n + 2):
         assert_cells_match(ev, mk_count(mode, threshold, bound, child, ITN))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_wide_block_moves_match_the_recursive_evaluator(n):
+    # the conjunction over (a, b, c, d, e) reads R(a, c, e) with two axes
+    # inserted and E(b, d) with three; a COUNT over e moves n**4 blocks
+    rng = random.Random(n)
+    rels = {name: {u for u in itertools.product(range(n), repeat=arity)
+                   if rng.random() < 0.5}
+            for name, arity in (("E", 2), ("R", 3))}
+    s = RelStructure(VOC, n, rels)
+    body = mk_and([mk_atom("R", ("a", "c", "e"), ITN),
+                   mk_atom("E", ("b", "d"), ITN)], ITN)
+    ev = TableEvaluator(s)
+    assert_cells_match(ev, body)
+    for bound in "abcde":
+        for threshold in range(n + 1):
+            assert_cells_match(ev, mk_count("=", threshold, bound, body, ITN))
 
 
 @settings(max_examples=150)
@@ -228,13 +249,11 @@ def test_atom_arity_is_checked_before_any_table():
 def test_atom_table_spans_its_distinct_variables(s):
     f = mk_atom("R", ("x", "x", "y"), ITN)
     table = TableEvaluator(s)
-    assert table.table(f) == (("x", "y"),
-                              [(a, a, b) in s.rel("R") for a in range(s.n)
-                               for b in range(s.n)])
+    assert f.fv == ("x", "y")
+    assert_cells_match(table, f)
     for a in range(s.n):
         for b in range(s.n):
-            assign = {"x": a, "y": b}
-            assert table.eval(f, assign) == Evaluator(s).eval(f, assign)
+            assert table.eval(f, {"x": a, "y": b}) == ((a, a, b) in s.rel("R"))
 
 
 def test_unknown_kind_is_refused_when_interned():

@@ -164,6 +164,7 @@ STRUCTURES = {
     "sixty.json": '{"n": 60, "rels": {"E": [[0, 1], [1, 2]]}}',
     "edge.json": '{"n": 2, "rels": {"E": [[0, 1]]}}',
     "g.json": GRAPH,
+    "c-ok.json": '{"C": {"0": [1]}}',
     "band11.json": band(11).to_json(),
     "c-true.json": '{"C": {"0": [true], "1": [0]}}',
     "c-underscore.json": '{"C": {"1_0": [1]}}',
@@ -282,6 +283,10 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
       for text in EQ_ONLY),
     (NESTED_RING, "SizeExceeded"),
     (REBOUND_X, "SizeExceeded"),
+    # 3 * 10**8 (vertex, i) pairs, and 10**8 instances
+    (["oracle", "g.json", "--cond", "c-ok.json", "--max-i", "100000000"],
+     "SizeExceeded"),
+    (["verify", "--n", "1", "--count", "100000000"], "SizeExceeded"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
