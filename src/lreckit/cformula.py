@@ -70,6 +70,7 @@ class CFormula:
         "free_vars",
         "fv",
         "order",
+        "steps",
     )
 
     def __init__(self, kind, *, value=None, vars=(), symbol=None, children=(),
@@ -115,7 +116,8 @@ def _derive(node: CFormula) -> None:
         node.free_vars = child.free_vars - {node.bound_var}
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    node.order = None  # nodes(node), listed by the first table evaluation
+    # nodes(node) and the node's _Steps, set by the first table evaluation
+    node.order = node.steps = None
     # most nodes have a child with the same free variables: share its tuple
     for c in children:
         if c.free_vars == node.free_vars:
@@ -360,6 +362,217 @@ def _repeat(pattern: int, period: int, times: int) -> int:
     return pattern * (((1 << period * times) - 1) // ((1 << period) - 1))
 
 
+def _cells(n: int, k: int) -> int:
+    """n**k, the cells of a table over k variables, if it may be built."""
+    cells = n ** k
+    if cells > MAX_TABLE_CELLS:
+        raise SizeExceeded(f"a table over {k} variables has {cells} cells;"
+                           f" at most {MAX_TABLE_CELLS} are built")
+    return cells
+
+
+def _gaps(blocks: int, inner: int, stride: int) -> tuple:
+    """Block j of `blocks` blocks of `inner` cells moves from cell
+    j*inner to cell j*stride: the mask of the cells it lands on, and the
+    (mask, shift) steps; step k moves the upper half of every group of
+    2**(k+1) blocks, which its mask holds, left by 2**k gaps of
+    stride - inner cells. Run in reverse, right shifts into the masks
+    move the blocks back."""
+    steps = []
+    for k in reversed(range((blocks - 1).bit_length())):
+        half = 1 << k
+        upper = ((1 << half * inner) - 1) << half * inner
+        steps.append((_repeat(upper, 2 * half * stride,
+                              -(-blocks // (2 * half))),
+                      half * (stride - inner)))
+    return _repeat((1 << inner) - 1, stride, blocks), steps
+
+
+def _reader(n: int, k: int, kept: tuple) -> Callable[[int], int]:
+    """The function that reads a child's table as a table over its
+    parent's k variables; `kept` lists the positions among those of the
+    child's variables.
+
+    Inserting the variable at position p moves the n**p blocks of cells
+    over the variables after it n times their size apart (`_gaps`), then
+    copies each n times by one multiplication."""
+    _cells(n, k)
+    moves = []
+    for p in range(k):
+        if p not in kept:
+            inner = n ** sum(q > p for q in kept)
+            moves.append((_gaps(n ** p, inner, n * inner)[1],
+                          _repeat(1, inner, n)))
+    if len(moves) == 1 and not moves[0][0]:
+        return moves[0][1].__mul__
+
+    def read(t):
+        for steps, repeat in moves:
+            for mask, shift in steps:
+                x = t & mask
+                t = t ^ x | x << shift
+            t *= repeat
+        return t
+    return read
+
+
+def _counter(n: int, k: int, b: int, passing: list) -> Callable[[int], int]:
+    """The function from the table of a COUNT node's child over k
+    variables, the bound one at position b, to the node's table, for
+    n > 1 and the witness counts that pass, `passing`: an interval of
+    [0, n], neither empty nor all of it."""
+    inner = n ** (k - 1 - b)
+    sel, steps = _gaps(n ** b, inner, n * inner)
+    steps.reverse()  # they bring the blocks of sel together
+    # slice d, the cells of t where the bound variable is d, lies on the
+    # cells of sel, where it is 0, in t >> d*inner
+    shifts = range(inner, n * inner, inner)
+    lo, hi = passing[0], passing[-1]
+    # some witness, none, every one or not every one: one OR or AND over
+    # the slices, complemented or not; other intervals add the slices up
+    # as bit-sliced counters
+    some = (lo, hi) in ((1, n), (0, 0))
+    every = (lo, hi) in ((n, n), (0, n - 1))
+    flip = sel if lo == 0 else 0
+    width = n.bit_length()  # the bits of a witness count
+
+    def count(t):
+        if some or every:
+            x = t
+            if some:
+                for shift in shifts:
+                    x |= t >> shift
+            else:
+                for shift in shifts:
+                    x &= t >> shift
+            tbl = x & sel ^ flip
+        else:
+            planes = [t]  # planes[i]: bit i of every cell's witness count
+            for shift in shifts:
+                carry = t >> shift
+                for i, plane in enumerate(planes):
+                    planes[i], carry = plane ^ carry, plane & carry
+                if len(planes) < width:
+                    planes.append(carry)
+            tbl = 0
+            for c in passing:
+                hit = sel
+                for i, plane in enumerate(planes):
+                    hit &= plane if c >> i & 1 else ~plane
+                tbl |= hit
+        for mask, shift in steps:
+            x = tbl >> shift & mask
+            tbl = tbl ^ x << shift | x
+        return tbl
+    return count
+
+
+# What a node's step does; its second field is the step's constant:
+# _AND/_OR: none; _READ_AND/_READ_OR: a reader or None per child;
+# _XOR: the int xored into the child's table; _CONST: the table;
+# _COUNT: the function from the child's table to the node's (`_counter`).
+_LEAF, _AND, _OR, _READ_AND, _READ_OR, _XOR, _CONST, _COUNT = range(8)
+
+
+def _step(shape: tuple, n: int) -> tuple:
+    """The table operation at n of the nodes of one shape (`_shape`)."""
+    kind, k = shape[0], shape[1]
+    if kind == AND or kind == OR:
+        kept = shape[2]
+        # one element: every table is one cell, the same over any variables
+        if n == 1 or all(len(c) == k for c in kept):
+            return (_AND if kind == AND else _OR), None
+        readers = {c: None if len(c) == k else _reader(n, k, c)
+                   for c in set(kept)}
+        return ((_READ_AND if kind == AND else _READ_OR),
+                tuple([readers[c] for c in kept]))
+    if kind == NOT:
+        return _XOR, (1 << _cells(n, k)) - 1
+    if kind == COUNT:
+        b, mode, threshold = shape[2:]
+        # the witness counts that pass
+        passing = [c for c in range(n + 1) if _compare(c, mode, threshold)]
+        if n == 1 or b < 0:
+            # every cell has 0 or n witnesses: the table is the child's,
+            # its complement, both or neither
+            mask = (1 << _cells(n, k - (b >= 0))) - 1
+            if 0 in passing:
+                return (_CONST, mask) if n in passing else (_XOR, mask)
+            return (_XOR, 0) if n in passing else (_CONST, 0)
+        if not passing:
+            return _CONST, 0
+        if len(passing) == n + 1:
+            return _CONST, (1 << _cells(n, k - 1)) - 1
+        return _COUNT, _counter(n, k, b, passing)
+    return _LEAF, None
+
+
+def _layout(f: CFormula) -> tuple:
+    """What f's table operation depends on besides n: its kind and free
+    variables and its children's; for COUNT the bound variable, the mode
+    and the threshold too."""
+    kind = f.kind
+    if kind == AND or kind == OR:
+        return kind, f.fv, tuple([c.fv for c in f.children])
+    if kind == COUNT:
+        return kind, f.children[0].fv, f.bound_var, f.mode, f.threshold
+    return kind, f.fv
+
+
+def _shape(layout: tuple) -> tuple:
+    """The layout with positions for variable names: the number of the
+    node's variables (for COUNT its child's), for AND and OR the
+    positions among them of each child's variables, for COUNT the
+    position of the bound variable (-1 if absent)."""
+    kind = layout[0]
+    if kind == AND or kind == OR:
+        fv = layout[1]
+        return kind, len(fv), tuple([tuple(map(fv.index, cv))
+                                     for cv in layout[2]])
+    if kind == COUNT:
+        cv, b = layout[1], layout[2]
+        return (kind, len(cv), cv.index(b) if b in cv else -1) + layout[3:]
+    return kind, len(layout[1])
+
+
+class _Steps(dict):
+    """The steps of the nodes of one shape, by n; each built on first use.
+    Every node of the shape points here (`CFormula.steps`), and so does
+    its family: the shapes given out together, by layout and by shape."""
+
+    __slots__ = ("shape", "family")
+
+    def __init__(self, shape: tuple, family: tuple[dict, dict]):
+        self.shape, self.family = shape, family
+
+    def __missing__(self, n: int) -> tuple:
+        # a build that raises SizeExceeded stores nothing
+        step = self[n] = _step(self.shape, n)
+        return step
+
+
+def _listed(root: CFormula) -> list[CFormula]:
+    """nodes(root), kept on root as `order`. A listed node without steps
+    gets those of its shape in the family of the listed nodes that have
+    steps (a new family if none has)."""
+    order = root.order = nodes(root)
+    family = next((f.steps.family for f in order if f.steps is not None),
+                  ({}, {}))
+    by_layout, by_shape = family
+    for f in order:
+        if f.steps is None:
+            layout = _layout(f)
+            steps = by_layout.get(layout)
+            if steps is None:
+                shape = _shape(layout)
+                steps = by_shape.get(shape)
+                if steps is None:
+                    steps = by_shape[shape] = _Steps(shape, family)
+                by_layout[layout] = steps
+            f.steps = steps
+    return order
+
+
 class TableEvaluator:
     """Bottom-up model checker: one truth table per interned node.
 
@@ -370,111 +583,15 @@ class TableEvaluator:
     one, both by the block moves of `_gaps`. Each DAG node is processed
     once; sharing across queries (different assignments, different roots
     over a common sub-DAG) is free. A root's nodes are listed once, on the
-    first evaluator that meets it, and kept on the root for every later one.
+    first evaluator that meets it, and kept on the root for every later
+    one; what a node's step needs besides its children's tables is built
+    once per shape and n (`_Steps`), so an evaluator pays only for the int
+    operations and the leaves.
     """
 
     def __init__(self, structure: RelStructure):
         self.structure = structure
-        self._memo: dict[int, int] = {}
-        self._readers: dict[tuple, Callable[[int], int]] = {}
-        self._masks: dict[int, int] = {}
-        self._moves: dict[tuple, tuple[int, list]] = {}
-
-    def _cells(self, k: int) -> int:
-        """n**k, the cells of a table over k variables, if it may be built."""
-        cells = self.structure.n ** k
-        if cells > MAX_TABLE_CELLS:
-            raise SizeExceeded(f"a table over {k} variables has {cells} cells;"
-                               f" at most {MAX_TABLE_CELLS} are built")
-        return cells
-
-    def _mask(self, k: int) -> int:
-        """All ones over the cells of a table over k variables."""
-        mask = self._masks.get(k)
-        if mask is None:
-            mask = self._masks[k] = (1 << self._cells(k)) - 1
-        return mask
-
-    def _gaps(self, blocks: int, inner: int, stride: int) -> tuple:
-        """Block j of `blocks` blocks of `inner` cells moves from cell
-        j*inner to cell j*stride: the mask of the cells it lands on, and the
-        (mask, shift) steps; step k moves the upper half of every group of
-        2**(k+1) blocks, which its mask holds, left by 2**k gaps of
-        stride - inner cells. Run in reverse, right shifts into the masks
-        move the blocks back."""
-        got = self._moves.get((blocks, inner, stride))
-        if got is None:
-            steps = []
-            for k in reversed(range((blocks - 1).bit_length())):
-                half = 1 << k
-                upper = ((1 << half * inner) - 1) << half * inner
-                steps.append((_repeat(upper, 2 * half * stride,
-                                      -(-blocks // (2 * half))),
-                              half * (stride - inner)))
-            got = self._moves[blocks, inner, stride] = (
-                _repeat((1 << inner) - 1, stride, blocks), steps)
-        return got
-
-    def _reader(self, cv: tuple, fv: tuple) -> Callable[[int], int]:
-        """The function that reads a table over the sorted variables cv as
-        a table over fv, a sorted superset; built once per (cv, fv) pair.
-
-        Inserting the variable at position p of fv moves the n**p blocks of
-        cells over the variables after it n times their size apart
-        (`_gaps`), then copies each n times by one multiplication."""
-        n = self.structure.n
-        self._cells(len(fv))
-        moves = []
-        for p, v in enumerate(fv):
-            if v not in cv:
-                inner = n ** sum(u in cv for u in fv[p + 1:])
-                moves.append((self._gaps(n ** p, inner, n * inner)[1],
-                              _repeat(1, inner, n)))
-        if len(moves) == 1 and not moves[0][0]:
-            return moves[0][1].__mul__
-
-        def read(t):
-            for steps, repeat in moves:
-                for mask, shift in steps:
-                    x = t & mask
-                    t = t ^ x | x << shift
-                t *= repeat
-            return t
-        return read
-
-    def _count(self, f: CFormula, t: int, cv: tuple) -> int:
-        """The table of the COUNT node f from its child's table t over cv."""
-        n, b = self.structure.n, f.bound_var
-        # the witness counts that pass
-        passing = [c for c in range(n + 1) if _compare(c, f.mode, f.threshold)]
-        if n == 1 or b not in cv:
-            # every cell has 0 or n witnesses
-            mask = self._mask(len(f.fv))
-            return ((t if n in passing else 0)
-                    | (t ^ mask if 0 in passing else 0))
-        inner = n ** (len(cv) - 1 - cv.index(b))
-        sel, steps = self._gaps(n ** cv.index(b), inner, n * inner)
-        planes = []  # planes[i]: bit i of every cell's witness count
-        for d in range(n):
-            # the cells of t where the bound variable is d, moved to where
-            # it is 0
-            carry = t >> d * inner & sel
-            for i, plane in enumerate(planes):
-                planes[i], carry = plane ^ carry, plane & carry
-            if carry:
-                planes.append(carry)
-        tbl = 0
-        for count in passing:
-            if count >> len(planes):
-                continue  # no cell counts past what the planes hold
-            hit = sel
-            for i, plane in enumerate(planes):
-                hit &= plane if count >> i & 1 else ~plane
-            tbl |= hit
-        for mask, shift in reversed(steps):  # the blocks of sel together
-            x = tbl >> shift & mask
-            tbl = tbl ^ x << shift | x
-        return tbl
+        self._memo: dict[CFormula, int] = {}
 
     def _leaf(self, f: CFormula) -> int:
         n = self.structure.n
@@ -482,13 +599,13 @@ class TableEvaluator:
             return int(f.value)
         if f.kind == EQ:
             if len(f.fv) == 1:
-                return self._mask(1)
-            self._cells(2)
+                return (1 << _cells(n, 1)) - 1
+            _cells(n, 2)
             return sum(1 << i * (n + 1) for i in range(n))  # the diagonal
         # ATOM: one cell per assignment of the distinct variables, fv
         _check_atom(f, self.structure)
         fv, args = f.fv, f.vars
-        cells = self._cells(len(fv))
+        cells = _cells(n, len(fv))
         first = [args.index(v) for v in args]
         weight = [n ** (len(fv) - 1 - fv.index(v)) if first[j] == j else 0
                   for j, v in enumerate(args)]
@@ -500,43 +617,43 @@ class TableEvaluator:
 
     def _tables(self, root: CFormula) -> int:
         """Fill the memo for every node under root; root's table."""
-        memo, readers = self._memo, self._readers
-        tbl = memo.get(root.nid)
+        memo = self._memo
+        tbl = memo.get(root)
         if tbl is not None:
             return tbl
-        if root.order is None:
-            root.order = nodes(root)
-        # one element: every table is one cell, the same over any variables
-        wide = self.structure.n > 1
+        n = self.structure.n
         # the memo holds whole sub-DAGs, so skipping its nodes leaves what
-        # nodes(root, memo) would list
-        for f in root.order:
-            if f.nid in memo:
+        # nodes(root, known) would list for the nids of its nodes
+        for f in root.order or _listed(root):
+            if f in memo:
                 continue
-            kind, fv = f.kind, f.fv
-            if kind == AND or kind == OR:
-                conj = kind == AND
-                tbl = -1 if conj else 0
+            code, arg = f.steps[n]
+            if code == _READ_AND:
+                tbl = -1
+                for c, read in zip(f.children, arg):
+                    tbl &= memo[c] if read is None else read(memo[c])
+            elif code == _COUNT:
+                tbl = arg(memo[f.children[0]])
+            elif code == _AND:
+                tbl = -1
                 for c in f.children:
-                    t = memo[c.nid]
-                    if wide and c.fv != fv:
-                        read = readers.get((c.fv, fv))
-                        if read is None:
-                            read = readers[c.fv, fv] = self._reader(c.fv, fv)
-                        t = read(t)
-                    if conj:
-                        tbl &= t
-                    else:
-                        tbl |= t
-            elif kind == COUNT:
-                (c,) = f.children
-                tbl = self._count(f, memo[c.nid], c.fv)
-            elif kind == NOT:
-                tbl = memo[f.children[0].nid] ^ self._mask(len(fv))
+                    tbl &= memo[c]
+            elif code == _READ_OR:
+                tbl = 0
+                for c, read in zip(f.children, arg):
+                    tbl |= memo[c] if read is None else read(memo[c])
+            elif code == _OR:
+                tbl = 0
+                for c in f.children:
+                    tbl |= memo[c]
+            elif code == _XOR:
+                tbl = memo[f.children[0]] ^ arg
+            elif code == _CONST:
+                tbl = arg
             else:
                 tbl = self._leaf(f)
-            memo[f.nid] = tbl
-        return memo[root.nid]
+            memo[f] = tbl
+        return memo[root]
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:
         n = self.structure.n
@@ -638,11 +755,11 @@ def formula_from_data(data, interner: Interner) -> CFormula:
             raise MalformedInput("(count MODE N x f)")
         mode, threshold = data[1], data[2]
         (var,) = _names(data[3:4], "(count MODE N x f)")
-        try:
-            threshold = int(threshold)
-        except (TypeError, ValueError):
-            raise MalformedInput(f"bad threshold {threshold!r}") from None
-        return mk_count(mode, threshold, var,
+        # ASCII digits only: int() would also take "1_0", "+1" and "٣"
+        if not (isinstance(threshold, str) and threshold.isascii()
+                and threshold.isdecimal()):
+            raise MalformedInput(f"bad threshold {threshold!r}")
+        return mk_count(mode, int(threshold), var,
                         formula_from_data(data[4], interner), interner)
     raise MalformedInput(f"unknown form {head!r}")
 

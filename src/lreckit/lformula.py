@@ -441,7 +441,8 @@ def _term_from_token(tok) -> tuple:
         raise MalformedInput(f"expected a number term, got {tok!r}")
     if tok in ("min", "max"):
         return (tok,)
-    if tok.isdecimal():
+    # ASCII digits only: "٣" is a name, not the literal 3
+    if tok.isascii() and tok.isdecimal():
         return ("lit", int(tok))
     return ("var", tok)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import distinguishes, mk_implies
+from lreckit import cformula
 from lreckit.cformula import (
     CFormula,
     Evaluator,
@@ -31,6 +32,7 @@ from lreckit.errors import (
     ArityMismatch,
     IdOutOfRange,
     MalformedInput,
+    SizeExceeded,
     UnboundVariable,
 )
 from lreckit.structures import RelStructure, Vocabulary
@@ -166,6 +168,51 @@ def test_wide_block_moves_match_the_recursive_evaluator(n):
     for bound in "abcde":
         for threshold in range(n + 1):
             assert_cells_match(ev, mk_count("=", threshold, bound, body, ITN))
+
+
+def _random_e_and_r(n):
+    """A structure on n elements with seeded random relations E and R."""
+    rng = random.Random(n)
+    return RelStructure(VOC, n, {
+        name: {u for u in itertools.product(range(n), repeat=arity)
+               if rng.random() < 0.5}
+        for name, arity in (("E", 2), ("R", 3))})
+
+
+def test_steps_built_at_one_n_serve_every_other_n():
+    # a fresh interner: every step of this DAG is first built at n = 3
+    itn = Interner()
+    body = mk_and([mk_atom("R", ("a", "c", "e"), itn),
+                   mk_atom("E", ("b", "d"), itn)], itn)
+    roots = [body] + [mk_count("=", 1, v, body, itn) for v in "abcde"]
+    for n in (3, 1, 2, 5, 3):
+        ev = TableEvaluator(_random_e_and_r(n))
+        for root in roots:
+            assert_cells_match(ev, root)
+    # 28**5 = 17,210,368 cells: more than MAX_TABLE_CELLS, and a refused
+    # build leaves nothing behind that a later evaluator would take
+    wide = _random_e_and_r(28)
+    for _ in range(2):
+        with pytest.raises(SizeExceeded):
+            TableEvaluator(wide).eval(body, dict.fromkeys("abcde", 0))
+    ev = TableEvaluator(_random_e_and_r(2))
+    for root in roots:
+        assert_cells_match(ev, root)
+
+
+def test_evaluation_keeps_no_state_in_the_module():
+    def sizes():
+        return {name: len(value) for name, value in vars(cformula).items()
+                if isinstance(value, (dict, list, set))}
+    before = sizes()
+    itn = Interner()
+    f = parse_sexpr("(and (count = 1 y (atom E x y)) (not (atom P x)))", itn)
+    g = parse_sexpr("(count >= 2 z (or (atom R x y z) (eq y z)))", itn)
+    for n in range(1, 6):
+        ev = TableEvaluator(_random_e_and_r(n))
+        for root in (f, g):
+            assert_cells_match(ev, root)
+    assert sizes() == before
 
 
 @settings(max_examples=150)

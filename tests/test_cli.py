@@ -287,6 +287,13 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     (["oracle", "g.json", "--cond", "c-ok.json", "--max-i", "100000000"],
      "SizeExceeded"),
     (["verify", "--n", "1", "--count", "100000000"], "SizeExceeded"),
+    # int() would read these thresholds as 10, 1, 0 and 3
+    *((["eval", "edge.json", "--sexpr", f"(count >= {t} y (atom E x y))",
+        "--assign", '{"x": 0}'], "MalformedInput")
+      for t in ("1_0", "+1", "-0", "\u0663")),
+    # an Arabic-Indic digit is a name, not the literal 3
+    (["lrec-eval", "three.json", "--sexpr", "(num-le \u0663 3)"],
+     "UnboundVariable"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
