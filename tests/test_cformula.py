@@ -201,10 +201,14 @@ def test_steps_built_at_one_n_serve_every_other_n():
 
 
 def test_evaluation_keeps_no_state_in_the_module():
-    def sizes():
-        return {name: len(value) for name, value in vars(cformula).items()
-                if isinstance(value, (dict, list, set))}
-    before = sizes()
+    def sizes(values, path):
+        # every dict, list and set in the module, also inside tuples
+        for name, value in values:
+            if isinstance(value, (dict, list, set)):
+                yield path + (name,), len(value)
+            elif isinstance(value, tuple):
+                yield from sizes(enumerate(value), path + (name,))
+    before = dict(sizes(vars(cformula).items(), ()))
     itn = Interner()
     f = parse_sexpr("(and (count = 1 y (atom E x y)) (not (atom P x)))", itn)
     g = parse_sexpr("(count >= 2 z (or (atom R x y z) (eq y z)))", itn)
@@ -212,7 +216,7 @@ def test_evaluation_keeps_no_state_in_the_module():
         ev = TableEvaluator(_random_e_and_r(n))
         for root in (f, g):
             assert_cells_match(ev, root)
-    assert sizes() == before
+    assert dict(sizes(vars(cformula).items(), ())) == before
 
 
 @settings(max_examples=150)
