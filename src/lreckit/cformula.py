@@ -390,8 +390,8 @@ def _gaps(blocks: int, inner: int, stride: int) -> tuple:
 
 def _reader(n: int, k: int, kept: tuple) -> Callable[[int], int]:
     """The function that reads a child's table as a table over its
-    parent's k variables; `kept` lists the positions among those of the
-    child's variables.
+    parent's k variables; `kept` lists the positions of the child's
+    variables among the parent's.
 
     Inserting the variable at position p moves the n**p blocks of cells
     over the variables after it n times their size apart (`_gaps`), then
