@@ -468,7 +468,8 @@ def _counter(n: int, k: int, b: int, passing: list) -> Callable[[int], int]:
 
 
 # What a node's step does; its second field is the step's constant:
-# _AND/_OR: none; _READ_AND/_READ_OR: a reader or None per child;
+# _AND/_OR: none; _READ_AND/_READ_OR: per layout of the children, its
+# reader (None if the layout is the node's) and the children's positions;
 # _XOR: the int xored into the child's table; _CONST: the table;
 # _COUNT: the function from the child's table to the node's (`_counter`).
 _LEAF, _AND, _OR, _READ_AND, _READ_OR, _XOR, _CONST, _COUNT = range(8)
@@ -482,10 +483,14 @@ def _step(shape: tuple, n: int) -> tuple:
         # one element: every table is one cell, the same over any variables
         if n == 1 or all(len(c) == k for c in kept):
             return (_AND if kind == AND else _OR), None
-        readers = {c: None if len(c) == k else _reader(n, k, c)
-                   for c in set(kept)}
+        # a read only moves and copies cells, so it commutes with AND and
+        # OR: the children of one layout are combined first and read once
+        groups = {}
+        for i, c in enumerate(kept):
+            groups.setdefault(c, []).append(i)
         return ((_READ_AND if kind == AND else _READ_OR),
-                tuple([readers[c] for c in kept]))
+                tuple([(None if len(c) == k else _reader(n, k, c), tuple(idx))
+                       for c, idx in groups.items()]))
     if kind == NOT:
         return _XOR, (1 << _cells(n, k)) - 1
     if kind == COUNT:
@@ -629,9 +634,12 @@ class TableEvaluator:
                 continue
             code, arg = f.steps[n]
             if code == _READ_AND:
-                tbl = -1
-                for c, read in zip(f.children, arg):
-                    tbl &= memo[c] if read is None else read(memo[c])
+                tbl, children = -1, f.children
+                for read, group in arg:
+                    t = -1
+                    for i in group:
+                        t &= memo[children[i]]
+                    tbl &= t if read is None else read(t)
             elif code == _COUNT:
                 tbl = arg(memo[f.children[0]])
             elif code == _AND:
@@ -639,9 +647,12 @@ class TableEvaluator:
                 for c in f.children:
                     tbl &= memo[c]
             elif code == _READ_OR:
-                tbl = 0
-                for c, read in zip(f.children, arg):
-                    tbl |= memo[c] if read is None else read(memo[c])
+                tbl, children = 0, f.children
+                for read, group in arg:
+                    t = 0
+                    for i in group:
+                        t |= memo[children[i]]
+                    tbl |= t if read is None else read(t)
             elif code == _OR:
                 tbl = 0
                 for c in f.children:

@@ -200,6 +200,24 @@ def test_steps_built_at_one_n_serve_every_other_n():
         assert_cells_match(ev, root)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_children_of_one_layout_are_read_together(n):
+    # under AND and OR over (a, b, c), E(a, b) and not E(b, a) are
+    # combined and read once; P(b) and E(a, c) are read one each
+    s = _random_e_and_r(n)
+    s = RelStructure(VOC, n, {"E": s.rel("E"), "R": s.rel("R"),
+                              "P": {(v,) for v in range(n) if v % 2}})
+    itn = Interner()
+    kids = [mk_atom("E", ("a", "b"), itn),
+            mk_not(mk_atom("E", ("b", "a"), itn), itn),
+            mk_atom("R", ("a", "b", "c"), itn),
+            mk_atom("P", ("b",), itn),
+            mk_atom("E", ("a", "c"), itn)]
+    ev = TableEvaluator(s)
+    for mk in (mk_and, mk_or):
+        assert_cells_match(ev, mk(kids, itn))
+
+
 def test_evaluation_keeps_no_state_in_the_module():
     def sizes(values, path):
         # every dict, list and set in the module, also inside tuples
