@@ -3,7 +3,7 @@
 Formulas are interned: structurally equal trees share one node, so the
 recursive formula families built by the compiler stay DAG-sized. A node
 stores its structural fields; the interner looks it up by its key and,
-only when the key is new, derives its quantifier depth and variable sets.
+only when the key is new, derives its quantifier depth and free variables.
 Every mk_* call takes the Interner its caller owns; there is no shared
 default.
 """
@@ -66,8 +66,6 @@ class CFormula:
         "bound_var",
         "nid",
         "qdepth",
-        "varnames",
-        "free_vars",
         "fv",
         "order",
         "steps",
@@ -96,34 +94,39 @@ class CFormula:
         return (f"<CFormula #{self.nid} {self.kind} qdepth={self.qdepth} "
                 f"fv={self.fv}>")
 
+    @property
+    def free_vars(self) -> frozenset:
+        """The free variables as a set: a view of `fv`."""
+        return frozenset(self.fv)
+
 
 def _derive(node: CFormula) -> None:
-    """Set the quantifier depth and variable sets of a new node from its
+    """Set the quantifier depth and free variables of a new node from its
     already interned children. `fv` lists the free variables sorted: the
     axes of the node's truth table."""
     kind, children = node.kind, node.children
     if kind in (BOOL, EQ, ATOM):
         node.qdepth = 0
-        node.varnames = node.free_vars = frozenset(node.vars)
+        free = set(node.vars)
     elif kind in (NOT, OR, AND):
         node.qdepth = max([c.qdepth for c in children], default=0)
-        node.varnames = frozenset().union(*[c.varnames for c in children])
-        node.free_vars = frozenset().union(*[c.free_vars for c in children])
+        free = set().union(*[c.fv for c in children])
     elif kind == COUNT:
         (child,) = children
         node.qdepth = child.qdepth + 1
-        node.varnames = child.varnames | {node.bound_var}
-        node.free_vars = child.free_vars - {node.bound_var}
+        free = set(child.fv)
+        free.discard(node.bound_var)
     else:
         raise ValueError(f"unknown kind {kind!r}")
     # nodes(node) and the node's _Steps, set by the first table evaluation
     node.order = node.steps = None
-    # most nodes have a child with the same free variables: share its tuple
+    # a child's free variables are a subset of the node's (a superset for
+    # COUNT), so a child of the same size has the same ones: share its tuple
     for c in children:
-        if c.free_vars == node.free_vars:
+        if len(c.fv) == len(free):
             node.fv = c.fv
             return
-    node.fv = tuple(sorted(node.free_vars))
+    node.fv = tuple(sorted(free))
 
 
 class Interner:
@@ -248,7 +251,13 @@ def qdepth(f: CFormula) -> int:
 
 
 def nvars(f: CFormula) -> int:
-    return len(f.varnames)
+    """Number of distinct variable names in f, free or bound."""
+    names = set()
+    for node in nodes(f):
+        names.update(node.vars)
+        if node.bound_var is not None:
+            names.add(node.bound_var)
+    return len(names)
 
 
 def nodes(f: CFormula, known=()) -> list[CFormula]:
@@ -287,9 +296,9 @@ def _compare(count: int, mode: str, threshold: int) -> bool:
 def _checked_assignment(f: CFormula, assignment: dict | None, n: int) -> dict:
     """Check that `assignment` binds f's free variables to ids in [0, n)."""
     assignment = assignment or {}
-    missing = f.free_vars - assignment.keys()
+    missing = [v for v in f.fv if v not in assignment]
     if missing:
-        raise UnboundVariable(f"unassigned variables: {sorted(missing)}")
+        raise UnboundVariable(f"unassigned variables: {missing}")
     for name, value in assignment.items():
         if type(value) is not int or not 0 <= value < n:
             raise IdOutOfRange(f"{name}={value!r} is not an id in [0, {n})")
@@ -324,7 +333,7 @@ class Evaluator:
     def _eval(self, f: CFormula, a: dict[str, int]) -> bool:
         if f.kind == BOOL:
             return f.value
-        key = (f.nid, tuple(sorted((v, a[v]) for v in f.free_vars)))
+        key = (f.nid, tuple([a[v] for v in f.fv]))
         cached = self._memo.get(key)
         if cached is not None:
             return cached

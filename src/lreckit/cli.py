@@ -100,6 +100,8 @@ def cmd_lrec_eval(args):
 
 
 def cmd_oracle(args):
+    if args.max_i < 1:
+        raise MalformedInput(f"--max-i {args.max_i} is less than 1")
     g, c = _load_instance(args)
     if g.n * args.max_i > MAX_ORACLE_PAIRS:
         raise SizeExceeded(f"--max-i {args.max_i} over {g.n} vertices sweeps"
@@ -128,6 +130,8 @@ def cmd_compile(args):
 
 
 def cmd_verify(args):
+    if args.count < 1:
+        raise MalformedInput(f"--count {args.count} is less than 1")
     if args.count > MAX_VERIFY_COUNT:
         raise SizeExceeded(f"--count {args.count} is more than"
                            f" {MAX_VERIFY_COUNT} instances")

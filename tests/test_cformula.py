@@ -267,7 +267,8 @@ def test_interning_gives_identity(f, g):
 
 
 def _fields(f):
-    """(qdepth, varnames, free_vars) of f, recomputed over its whole tree."""
+    """(qdepth, variable names, free variables) of f, recomputed over its
+    whole tree."""
     if f.kind in ("bool", "eq", "atom"):
         return 0, frozenset(f.vars), frozenset(f.vars)
     subs = [_fields(c) for c in f.children]
@@ -283,8 +284,14 @@ def _fields(f):
 @given(formulas())
 def test_interned_nodes_carry_their_derived_fields(f):
     for node in nodes(f):
-        assert (node.qdepth, node.varnames, node.free_vars) == _fields(node)
-        assert node.fv == tuple(sorted(node.free_vars))
+        qd, names, free = _fields(node)
+        assert (node.qdepth, nvars(node), node.free_vars) == (
+            qd, len(names), free)
+        assert node.fv == tuple(sorted(free))
+        # a node shares the tuple of a child with its free variables
+        same = [c.fv for c in node.children if set(c.fv) == free]
+        if same:
+            assert any(node.fv is fv for fv in same)
 
 
 def test_rebuilding_returns_the_node_and_takes_no_nid():
@@ -378,6 +385,10 @@ def test_qdepth_and_nvars():
     assert nvars(f) == 2
     g = mk_and([f, mk_atom("P", ("z",), itn)], itn)
     assert nvars(g) == 3
+    # a vacuous binder and a rebound name each count once
+    assert nvars(parse_sexpr("(count >= 1 z (atom P x))", itn)) == 2
+    assert nvars(parse_sexpr(
+        "(and (atom P x) (count >= 1 x (atom E x y)))", itn)) == 2
 
 
 def test_shadowing_inner_binder_wins():

@@ -294,6 +294,13 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     # an Arabic-Indic digit is a name, not the literal 3
     (["lrec-eval", "three.json", "--sexpr", "(num-le \u0663 3)"],
      "UnboundVariable"),
+    # empty sweeps
+    (["verify", "--n", "2", "--count", "-5"], "MalformedInput"),
+    (["verify", "--n", "2", "--count", "0"], "MalformedInput"),
+    (["oracle", "g.json", "--cond", "c-ok.json", "--max-i", "-3"],
+     "MalformedInput"),
+    (["oracle", "g.json", "--cond", "c-ok.json", "--max-i", "0"],
+     "MalformedInput"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
