@@ -118,7 +118,7 @@ def _derive(node: CFormula) -> None:
         free.discard(node.bound_var)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    # nodes(node) and the node's _Steps, set by the first table evaluation
+    # the node's _Listing and _Steps, set by the first table evaluation
     node.order = node.steps = None
     # a child's free variables are a subset of the node's (a superset for
     # COUNT), so a child of the same size has the same ones: share its tuple
@@ -479,7 +479,8 @@ def _counter(n: int, k: int, b: int, passing: list) -> Callable[[int], int]:
 # What a node's step does; its second field is the step's constant:
 # _AND/_OR: none; _READ_AND/_READ_OR: per layout of the children, its
 # reader (None if the layout is the node's) and the children's positions;
-# _XOR: the int xored into the child's table; _CONST: the table;
+# _XOR: the int xored into the child's table; _CONST: the table (EQ
+# nodes and the COUNTs that n decides);
 # _COUNT: the function from the child's table to the node's (`_counter`).
 _LEAF, _AND, _OR, _READ_AND, _READ_OR, _XOR, _CONST, _COUNT = range(8)
 
@@ -518,6 +519,12 @@ def _step(shape: tuple, n: int) -> tuple:
         if len(passing) == n + 1:
             return _CONST, (1 << _cells(n, k - 1)) - 1
         return _COUNT, _counter(n, k, b, passing)
+    if kind == EQ:
+        # x = x holds everywhere; x = y on the diagonal
+        if k == 1:
+            return _CONST, (1 << _cells(n, 1)) - 1
+        _cells(n, 2)
+        return _CONST, sum(1 << i * (n + 1) for i in range(n))
     return _LEAF, None
 
 
@@ -565,15 +572,26 @@ class _Steps(dict):
         return step
 
 
-def _listed(root: CFormula) -> list[CFormula]:
-    """nodes(root), kept on root as `order`. A listed node without steps
-    gets those of its shape in the family of the listed nodes that have
-    steps (a new family if none has)."""
-    order = root.order = nodes(root)
+class _Listing(list):
+    """nodes(root), kept on root as `order`, with the largest count
+    threshold among them, `top`, and the root's plans by n (`_plan`)."""
+
+    __slots__ = ("top", "plans")
+
+
+def _listed(root: CFormula) -> _Listing:
+    """The listing of root. A listed node without steps gets those of its
+    shape in the family of the listed nodes that have steps (a new family
+    if none has)."""
+    order = root.order = _Listing(nodes(root))
+    order.plans = {}
     family = next((f.steps.family for f in order if f.steps is not None),
                   ({}, {}))
     by_layout, by_shape = family
+    top = 0
     for f in order:
+        if f.kind == COUNT and f.threshold > top:
+            top = f.threshold
         if f.steps is None:
             layout = _layout(f)
             steps = by_layout.get(layout)
@@ -584,7 +602,94 @@ def _listed(root: CFormula) -> list[CFormula]:
                     steps = by_shape[shape] = _Steps(shape, family)
                 by_layout[layout] = steps
             f.steps = steps
+    order.top = top
     return order
+
+
+def _fill(memo: dict, todo: Iterable[CFormula], n: int,
+          leaf: Callable[[CFormula], int] | None) -> None:
+    """Put in memo the table at n of each node of todo that it lacks, in
+    turn: a node's children are in memo or before it in todo. `leaf`
+    gives the table of a BOOL or ATOM node."""
+    for f in todo:
+        if f in memo:
+            continue
+        code, arg = f.steps[n]
+        if code == _READ_AND:
+            tbl, children = -1, f.children
+            for read, group in arg:
+                t = -1
+                for i in group:
+                    t &= memo[children[i]]
+                tbl &= t if read is None else read(t)
+        elif code == _COUNT:
+            tbl = arg(memo[f.children[0]])
+        elif code == _AND:
+            tbl = -1
+            for c in f.children:
+                tbl &= memo[c]
+        elif code == _READ_OR:
+            tbl, children = 0, f.children
+            for read, group in arg:
+                t = 0
+                for i in group:
+                    t |= memo[children[i]]
+                tbl |= t if read is None else read(t)
+        elif code == _OR:
+            tbl = 0
+            for c in f.children:
+                tbl |= memo[c]
+        elif code == _XOR:
+            tbl = memo[f.children[0]] ^ arg
+        elif code == _CONST:
+            tbl = arg
+        else:
+            tbl = leaf(f)
+        memo[f] = tbl
+
+
+def _plan(order: _Listing, n: int, s: RelStructure) -> tuple:
+    """The plan of order's root at n: the listed atoms, the tables that
+    no structure of n elements changes and that the root reads, and the
+    other nodes the root needs, children first.
+
+    A node is constant at n when its step is _CONST, when it is a BOOL,
+    when it is an AND with an empty child, or when its children are all
+    constant (its own step then gives its table). Like an evaluation
+    from the listing, the plan builds every listed node's step and
+    checks every atom against s, in the listing's order, so it refuses
+    what that refuses; each later structure's atoms are checked again."""
+    const = {}
+    atoms = []
+    for f in order:
+        code, arg = f.steps[n]
+        if code == _CONST:
+            const[f] = arg
+        elif code == _LEAF:
+            if f.kind == BOOL:
+                const[f] = int(f.value)
+            else:
+                _check_atom(f, s)
+                _cells(n, len(f.fv))
+                atoms.append(f)
+        else:
+            kids = list(map(const.get, f.children))
+            if None not in kids:
+                _fill(const, (f,), n, None)
+            elif 0 in kids and (code == _AND or code == _READ_AND):
+                const[f] = 0
+    # from the root down, stopping at constant nodes
+    needed, loads, todo = {order[-1]}, {}, []
+    for f in reversed(order):
+        if f in needed:
+            tbl = const.get(f)
+            if tbl is None:
+                todo.append(f)
+                needed.update(f.children)
+            else:
+                loads[f] = tbl
+    todo.reverse()
+    return atoms, loads, todo
 
 
 class TableEvaluator:
@@ -601,6 +706,16 @@ class TableEvaluator:
     one; what a node's step needs besides its children's tables is built
     once per shape and n (`_Steps`), so an evaluator pays only for the int
     operations and the leaves.
+
+    A formula built for n elements decides structures of fewer elements
+    too, and there counts with thresholds above the domain size, and the
+    conjunctions over them, are constant. So below the largest count
+    threshold of a root's listing, the first evaluation at each n builds
+    a plan (`_plan`), kept on the listing: the constant tables the root
+    reads are loaded, and only the other nodes it needs are evaluated. At
+    other n a root is evaluated from its listing alone. A plan skips
+    nodes but no refusal: every step is built and every atom is checked,
+    needed or not.
     """
 
     def __init__(self, structure: RelStructure):
@@ -608,16 +723,11 @@ class TableEvaluator:
         self._memo: dict[CFormula, int] = {}
 
     def _leaf(self, f: CFormula) -> int:
-        n = self.structure.n
         if f.kind == BOOL:
             return int(f.value)
-        if f.kind == EQ:
-            if len(f.fv) == 1:
-                return (1 << _cells(n, 1)) - 1
-            _cells(n, 2)
-            return sum(1 << i * (n + 1) for i in range(n))  # the diagonal
         # ATOM: one cell per assignment of the distinct variables, fv
         _check_atom(f, self.structure)
+        n = self.structure.n
         fv, args = f.fv, f.vars
         cells = _cells(n, len(fv))
         first = [args.index(v) for v in args]
@@ -630,49 +740,23 @@ class TableEvaluator:
         return int(bits, 2)
 
     def _tables(self, root: CFormula) -> int:
-        """Fill the memo for every node under root; root's table."""
+        """Fill the memo for the nodes root needs; root's table."""
         memo = self._memo
         tbl = memo.get(root)
         if tbl is not None:
             return tbl
-        n = self.structure.n
-        # the memo holds whole sub-DAGs, so skipping its nodes leaves what
-        # nodes(root, known) would list for the nids of its nodes
-        for f in root.order or _listed(root):
-            if f in memo:
-                continue
-            code, arg = f.steps[n]
-            if code == _READ_AND:
-                tbl, children = -1, f.children
-                for read, group in arg:
-                    t = -1
-                    for i in group:
-                        t &= memo[children[i]]
-                    tbl &= t if read is None else read(t)
-            elif code == _COUNT:
-                tbl = arg(memo[f.children[0]])
-            elif code == _AND:
-                tbl = -1
-                for c in f.children:
-                    tbl &= memo[c]
-            elif code == _READ_OR:
-                tbl, children = 0, f.children
-                for read, group in arg:
-                    t = 0
-                    for i in group:
-                        t |= memo[children[i]]
-                    tbl |= t if read is None else read(t)
-            elif code == _OR:
-                tbl = 0
-                for c in f.children:
-                    tbl |= memo[c]
-            elif code == _XOR:
-                tbl = memo[f.children[0]] ^ arg
-            elif code == _CONST:
-                tbl = arg
-            else:
-                tbl = self._leaf(f)
-            memo[f] = tbl
+        s = self.structure
+        n = s.n
+        todo = root.order or _listed(root)
+        if n < todo.top:
+            plan = todo.plans.get(n)
+            if plan is None:
+                plan = todo.plans[n] = _plan(todo, n, s)
+            atoms, loads, todo = plan
+            for f in atoms:
+                _check_atom(f, s)
+            memo.update(loads)
+        _fill(memo, todo, n, self._leaf)
         return memo[root]
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:

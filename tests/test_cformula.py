@@ -44,8 +44,8 @@ VARS = ("x", "y", "z")
 ITN = Interner()
 
 
-def structures():
-    return st.integers(1, 4).flatmap(
+def structures(max_n=4):
+    return st.integers(1, max_n).flatmap(
         lambda n: st.builds(
             lambda e, p, r: RelStructure(VOC, n, {"E": e, "P": p, "R": r}),
             st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
@@ -168,6 +168,38 @@ def test_wide_block_moves_match_the_recursive_evaluator(n):
     for bound in "abcde":
         for threshold in range(n + 1):
             assert_cells_match(ev, mk_count("=", threshold, bound, body, ITN))
+
+
+def _top(f):
+    """The largest count threshold under f, 0 if none."""
+    return max([g.threshold for g in nodes(f) if g.kind == "count"],
+               default=0)
+
+
+@settings(max_examples=100)
+@given(structures(5), structures(5), formulas(), formulas(),
+       st.sampled_from((">=", "=", "<=")), st.integers(1, 2),
+       st.integers(0, 2), st.sampled_from(VARS), st.permutations(range(6)))
+def test_plans_for_small_domains_match_the_recursive_evaluator(
+        s, t, g, h, mode, over, threshold, var, turn):
+    # c counts past s.n, so at s.n it is constant, and so are a and the
+    # NOT under the last COUNT; g and h lie below c and a and are roots
+    # too, so on one evaluator a constant node sits in the memo without
+    # the descendants that a later root needs, or after them
+    c = mk_count(mode, s.n + over, var, g, ITN)
+    a = mk_and([c, h], ITN)
+    roots = [a, mk_or([c, h], ITN), mk_or([a, g], ITN), g, h,
+             mk_count(mode, threshold, var, mk_not(a, ITN), ITN)]
+    ev = TableEvaluator(s)
+    for i in turn:
+        assert_cells_match(ev, roots[i])
+    # fresh evaluators: another size, then s.n again on the kept plans
+    for structure in (t, s):
+        ev = TableEvaluator(structure)
+        for root in roots:
+            assert_cells_match(ev, root)
+            if structure.n >= _top(root):
+                assert root.order is None or structure.n not in root.order.plans
 
 
 def _random_e_and_r(n):

@@ -174,6 +174,8 @@ STRUCTURES = {
     "six.json": '{"n": 6, "rels": {"E": [[0, 1]]}}',
     "ring40.json": json.dumps(
         {"n": 40, "rels": {"E": [[u, (u + 1) % 40] for u in range(40)]}}),
+    "no-edges.json": '{"n": 1, "rels": {"E": []}}',
+    "r25.json": json.dumps({"n": 2, "rels": {"R": [[0] * 25]}}),
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -212,6 +214,8 @@ EQ_ONLY = ["(lrec (y1) (y2) (i) (eq y1 z) (atom E y1 y2) (bool t) (x) (k))",
            " (bool t) (x) (k))"]
 WIDE_ATOM = ["eval", "three.json", "--sexpr",
              "(atom E " + " ".join(["x"] * 13) + ")", "--assign", '{"x": 0}']
+# 2 ** 25 cells, more than MAX_TABLE_CELLS
+R25_VARS = [f"a{i}" for i in range(25)]
 # the conjunction under five quantifiers is a table of 60 ** 5 cells
 WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
               "(count >= 1 a (count >= 1 b (count >= 1 c (count >= 1 d"
@@ -301,6 +305,17 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
      "MalformedInput"),
     (["oracle", "g.json", "--cond", "c-ok.json", "--max-i", "0"],
      "MalformedInput"),
+    # the bad atom sits under a conjunct that no structure of this size
+    # satisfies: fewer than 3 elements
+    (["eval", "no-edges.json", "--sexpr",
+      "(and (count >= 3 y (eq y y)) (atom Zed x))", "--assign", '{"x": 0}'],
+     "UnknownSymbol"),
+    (["eval", "no-edges.json", "--sexpr",
+      "(and (count >= 3 y (eq y y)) (atom E x))", "--assign", '{"x": 0}'],
+     "ArityMismatch"),
+    (["eval", "r25.json", "--sexpr",
+      "(and (count >= 3 y (eq y y)) (atom R " + " ".join(R25_VARS) + "))",
+      "--assign", json.dumps(dict.fromkeys(R25_VARS, 0))], "SizeExceeded"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
