@@ -707,15 +707,15 @@ class TableEvaluator:
     once per shape and n (`_Steps`), so an evaluator pays only for the int
     operations and the leaves.
 
-    A formula built for n elements decides structures of fewer elements
-    too, and there counts with thresholds above the domain size, and the
-    conjunctions over them, are constant. So below the largest count
-    threshold of a root's listing, the first evaluation at each n builds
-    a plan (`_plan`), kept on the listing: the constant tables the root
-    reads are loaded, and only the other nodes it needs are evaluated. At
-    other n a root is evaluated from its listing alone. A plan skips
-    nodes but no refusal: every step is built and every atom is checked,
-    needed or not.
+    A formula built for n elements must decide smaller structures too;
+    on those, a count whose threshold exceeds the domain size is
+    constant, and so is a conjunction over an empty one. So below the
+    largest count threshold of a root's listing, the first evaluation at
+    each n builds a plan (`_plan`), kept on the listing: the constant
+    tables the root reads are loaded, and only the other nodes it needs
+    are evaluated. At other n a root is evaluated from its listing
+    alone. A plan skips nodes but no refusal: every step is built and
+    every atom is checked, needed or not.
     """
 
     def __init__(self, structure: RelStructure):
