@@ -67,7 +67,7 @@ class CFormula:
         "nid",
         "qdepth",
         "fv",
-        "order",
+        "plans",
         "steps",
     )
 
@@ -118,8 +118,8 @@ def _derive(node: CFormula) -> None:
         free.discard(node.bound_var)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    # the node's _Listing and _Steps, set by the first table evaluation
-    node.order = node.steps = None
+    # the node's plans by n and its _Steps, set by the first table evaluation
+    node.plans = node.steps = None
     # a child's free variables are a subset of the node's (a superset for
     # COUNT), so a child of the same size has the same ones: share its tuple
     for c in children:
@@ -559,11 +559,12 @@ def _shape(layout: tuple) -> tuple:
 class _Steps(dict):
     """The steps of the nodes of one shape, by n; each built on first use.
     Every node of the shape points here (`CFormula.steps`), and so does
-    its family: the shapes given out together, by layout and by shape."""
+    its family: the shapes given out together, by layout and by shape,
+    and the tables of the nodes constant at n (`_plan`), by n."""
 
     __slots__ = ("shape", "family")
 
-    def __init__(self, shape: tuple, family: tuple[dict, dict]):
+    def __init__(self, shape: tuple, family: tuple[dict, dict, dict]):
         self.shape, self.family = shape, family
 
     def __missing__(self, n: int) -> tuple:
@@ -572,45 +573,11 @@ class _Steps(dict):
         return step
 
 
-class _Listing(list):
-    """nodes(root), kept on root as `order`, with the largest count
-    threshold among them, `top`, and the root's plans by n (`_plan`)."""
-
-    __slots__ = ("top", "plans")
-
-
-def _listed(root: CFormula) -> _Listing:
-    """The listing of root. A listed node without steps gets those of its
-    shape in the family of the listed nodes that have steps (a new family
-    if none has)."""
-    order = root.order = _Listing(nodes(root))
-    order.plans = {}
-    family = next((f.steps.family for f in order if f.steps is not None),
-                  ({}, {}))
-    by_layout, by_shape = family
-    top = 0
-    for f in order:
-        if f.kind == COUNT and f.threshold > top:
-            top = f.threshold
-        if f.steps is None:
-            layout = _layout(f)
-            steps = by_layout.get(layout)
-            if steps is None:
-                shape = _shape(layout)
-                steps = by_shape.get(shape)
-                if steps is None:
-                    steps = by_shape[shape] = _Steps(shape, family)
-                by_layout[layout] = steps
-            f.steps = steps
-    order.top = top
-    return order
-
-
 def _fill(memo: dict, todo: Iterable[CFormula], n: int,
           leaf: Callable[[CFormula], int] | None) -> None:
     """Put in memo the table at n of each node of todo that it lacks, in
     turn: a node's children are in memo or before it in todo. `leaf`
-    gives the table of a BOOL or ATOM node."""
+    gives the table of an ATOM node."""
     for f in todo:
         if f in memo:
             continue
@@ -648,20 +615,39 @@ def _fill(memo: dict, todo: Iterable[CFormula], n: int,
         memo[f] = tbl
 
 
-def _plan(order: _Listing, n: int, s: RelStructure) -> tuple:
-    """The plan of order's root at n: the listed atoms, the tables that
-    no structure of n elements changes and that the root reads, and the
-    other nodes the root needs, children first.
+def _plan(root: CFormula, n: int, s: RelStructure) -> tuple:
+    """The plan of root at n: its atoms, the tables that no structure of
+    n elements changes and that root reads, and the other nodes root
+    needs, children first.
 
-    A node is constant at n when its step is _CONST, when it is a BOOL,
-    when it is an AND with an empty child, or when its children are all
-    constant (its own step then gives its table). Like an evaluation
-    from the listing, the plan builds every listed node's step and
-    checks every atom against s, in the listing's order, so it refuses
-    what that refuses; each later structure's atoms are checked again."""
-    const = {}
+    The nodes of root are listed children first (`nodes`); a listed node
+    without steps gets those of its shape in the family of the listed
+    nodes that have steps (a new family if none has). A node is constant
+    at n when its step is _CONST, when it is a BOOL, when it is an AND
+    with an empty child, or when its children are all constant (its own
+    step then gives its table); the family keeps the constant tables by
+    n, so roots that share a constant sub-DAG fold it once. Every listed
+    node's step is built and every atom is checked against s, in the
+    listing's order, needed or not."""
+    order = nodes(root)
+    family = next((f.steps.family for f in order if f.steps is not None),
+                  ({}, {}, {}))
+    by_layout, by_shape, by_n = family
+    const = by_n.setdefault(n, {})
     atoms = []
     for f in order:
+        if f in const:
+            continue
+        if f.steps is None:
+            layout = _layout(f)
+            steps = by_layout.get(layout)
+            if steps is None:
+                shape = _shape(layout)
+                steps = by_shape.get(shape)
+                if steps is None:
+                    steps = by_shape[shape] = _Steps(shape, family)
+                by_layout[layout] = steps
+            f.steps = steps
         code, arg = f.steps[n]
         if code == _CONST:
             const[f] = arg
@@ -672,14 +658,15 @@ def _plan(order: _Listing, n: int, s: RelStructure) -> tuple:
                 _check_atom(f, s)
                 _cells(n, len(f.fv))
                 atoms.append(f)
-        else:
+        elif not const.keys().isdisjoint(f.children):
+            # a node with no constant child is not constant
             kids = list(map(const.get, f.children))
             if None not in kids:
                 _fill(const, (f,), n, None)
             elif 0 in kids and (code == _AND or code == _READ_AND):
                 const[f] = 0
     # from the root down, stopping at constant nodes
-    needed, loads, todo = {order[-1]}, {}, []
+    needed, loads, todo = {root}, {}, []
     for f in reversed(order):
         if f in needed:
             tbl = const.get(f)
@@ -701,21 +688,18 @@ class TableEvaluator:
     int operation per child; a child read inserts axes and COUNT removes
     one, both by the block moves of `_gaps`. Each DAG node is processed
     once; sharing across queries (different assignments, different roots
-    over a common sub-DAG) is free. A root's nodes are listed once, on the
-    first evaluator that meets it, and kept on the root for every later
-    one; what a node's step needs besides its children's tables is built
-    once per shape and n (`_Steps`), so an evaluator pays only for the int
-    operations and the leaves.
+    over a common sub-DAG) is free. What a node's step needs besides its
+    children's tables is built once per shape and n (`_Steps`), so an
+    evaluator pays only for the int operations and the atoms.
 
     A formula built for n elements must decide smaller structures too;
     on those, a count whose threshold exceeds the domain size is
-    constant, and so is a conjunction over an empty one. So below the
-    largest count threshold of a root's listing, the first evaluation at
-    each n builds a plan (`_plan`), kept on the listing: the constant
-    tables the root reads are loaded, and only the other nodes it needs
-    are evaluated. At other n a root is evaluated from its listing
-    alone. A plan skips nodes but no refusal: every step is built and
-    every atom is checked, needed or not.
+    constant, and so is a conjunction over an empty one. So the first
+    evaluation of a root at each n builds its plan (`_plan`), kept on the
+    root: every later evaluation at n checks the plan's atoms against its
+    structure, loads the constant tables the root reads, and evaluates
+    only the other nodes it needs. A plan skips nodes but no refusal:
+    every step is built and every atom is checked, needed or not.
     """
 
     def __init__(self, structure: RelStructure):
@@ -723,13 +707,11 @@ class TableEvaluator:
         self._memo: dict[CFormula, int] = {}
 
     def _leaf(self, f: CFormula) -> int:
-        if f.kind == BOOL:
-            return int(f.value)
-        # ATOM: one cell per assignment of the distinct variables, fv
-        _check_atom(f, self.structure)
+        """The table of an ATOM node, checked by its plan: one cell per
+        assignment of its distinct variables, fv."""
         n = self.structure.n
         fv, args = f.fv, f.vars
-        cells = _cells(n, len(fv))
+        cells = n ** len(fv)
         first = [args.index(v) for v in args]
         weight = [n ** (len(fv) - 1 - fv.index(v)) if first[j] == j else 0
                   for j, v in enumerate(args)]
@@ -747,15 +729,16 @@ class TableEvaluator:
             return tbl
         s = self.structure
         n = s.n
-        todo = root.order or _listed(root)
-        if n < todo.top:
-            plan = todo.plans.get(n)
-            if plan is None:
-                plan = todo.plans[n] = _plan(todo, n, s)
-            atoms, loads, todo = plan
-            for f in atoms:
-                _check_atom(f, s)
-            memo.update(loads)
+        plans = root.plans
+        if plans is None:
+            plans = root.plans = {}
+        plan = plans.get(n)
+        if plan is None:
+            plan = plans[n] = _plan(root, n, s)
+        atoms, loads, todo = plan
+        for f in atoms:
+            _check_atom(f, s)
+        memo.update(loads)
         _fill(memo, todo, n, self._leaf)
         return memo[root]
 

@@ -75,12 +75,6 @@ def _emit(doc, out: str | None) -> None:
         print(text)
 
 
-def _load_instance(args):
-    g = parse_digraph(_read(args.graph))
-    c = parse_cardinality(_read(args.cond), g)
-    return g, c
-
-
 def cmd_eval(args):
     s = parse_structure(_read(args.structure))
     f = parse_sexpr(_formula_text(args), Interner())
@@ -102,11 +96,11 @@ def cmd_lrec_eval(args):
 def cmd_oracle(args):
     if args.max_i < 1:
         raise MalformedInput(f"--max-i {args.max_i} is less than 1")
-    g, c = _load_instance(args)
+    g = parse_digraph(_read(args.graph))
     if g.n * args.max_i > MAX_ORACLE_PAIRS:
         raise SizeExceeded(f"--max-i {args.max_i} over {g.n} vertices sweeps"
                            f" more than {MAX_ORACLE_PAIRS} pairs")
-    inst = XInstance(g, c)
+    inst = XInstance(g, parse_cardinality(_read(args.cond), g))
     members = [
         [v, i]
         for v in range(g.n)

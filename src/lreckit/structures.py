@@ -99,10 +99,12 @@ class DiGraph:
         if self.root is not None:
             if not (0 <= self.root < self.n):
                 raise IdOutOfRange(f"root {self.root} outside [0, {self.n - 1}]")
-            missing = set(range(self.n)) - reachable_closure(self, self.root)
-            if missing:
+            seen = reachable_closure(self, self.root)
+            if len(seen) < self.n:
+                least = next(v for v in range(self.n) if v not in seen)
                 raise MalformedInput(
-                    f"vertices {sorted(missing)} unreachable from root {self.root}"
+                    f"{self.n - len(seen)} vertices unreachable from root"
+                    f" {self.root}, the least {least}"
                 )
 
     @cached_property

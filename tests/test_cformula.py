@@ -34,6 +34,7 @@ from lreckit.errors import (
     MalformedInput,
     SizeExceeded,
     UnboundVariable,
+    UnknownSymbol,
 )
 from lreckit.structures import RelStructure, Vocabulary
 
@@ -124,9 +125,9 @@ def test_every_table_cell_matches_the_recursive_evaluator(s, t, f):
 @given(structures(), structures(), formulas(), formulas(), st.booleans())
 def test_roots_that_share_a_sub_dag_match_the_recursive_evaluator(
         s, t, g, h, g_first):
-    # a root's node order is kept on the root; nodes that an earlier root
+    # a root's plans are kept on the root; nodes that an earlier root
     # put in the memo are skipped, and a later evaluator on another n
-    # reuses the order
+    # builds another plan over the same steps
     assume(s.n != t.n)
     f = mk_and([g, h], ITN)
     ev = TableEvaluator(s)
@@ -170,12 +171,6 @@ def test_wide_block_moves_match_the_recursive_evaluator(n):
             assert_cells_match(ev, mk_count("=", threshold, bound, body, ITN))
 
 
-def _top(f):
-    """The largest count threshold under f, 0 if none."""
-    return max([g.threshold for g in nodes(f) if g.kind == cformula.COUNT],
-               default=0)
-
-
 @settings(max_examples=100)
 @given(structures(5), structures(5), formulas(), formulas(),
        st.sampled_from((">=", "=", "<=")), st.integers(1, 2),
@@ -198,9 +193,25 @@ def test_plans_for_small_domains_match_the_recursive_evaluator(
         ev = TableEvaluator(structure)
         for root in roots:
             assert_cells_match(ev, root)
-            # a root kept in the memo by another root's plan is not listed
-            if structure.n >= _top(root) and root.order is not None:
-                assert structure.n not in root.order.plans
+
+
+@pytest.mark.parametrize("symbols, error", [
+    ((("E", 2),), UnknownSymbol),
+    ((("E", 2), ("P", 2)), ArityMismatch),
+])
+def test_a_kept_plan_checks_the_atoms_of_every_structure(symbols, error):
+    # the first root is constant at every n (x = x never fails), the
+    # second reads P; both plans are built on a structure that has P
+    itn = Interner()
+    p = mk_atom("P", ("x",), itn)
+    roots = [mk_and([mk_not(mk_eq("x", "x", itn), itn), p], itn),
+             mk_or([p, mk_atom("E", ("x", "y"), itn)], itn)]
+    for root in roots:
+        assert_cells_match(TableEvaluator(_random_e_and_r(2)), root)
+        assert 2 in root.plans
+        other = RelStructure(Vocabulary(symbols), 2, {})
+        with pytest.raises(error):
+            TableEvaluator(other).eval(root, {"x": 0, "y": 0})
 
 
 def _random_e_and_r(n):

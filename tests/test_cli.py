@@ -176,6 +176,8 @@ STRUCTURES = {
         {"n": 40, "rels": {"E": [[u, (u + 1) % 40] for u in range(40)]}}),
     "no-edges.json": '{"n": 1, "rels": {"E": []}}',
     "r25.json": json.dumps({"n": 2, "rels": {"R": [[0] * 25]}}),
+    "million.json": '{"n": 1000000}',
+    "c-list.json": '{"C": []}',
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -316,6 +318,15 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     (["eval", "r25.json", "--sexpr",
       "(and (count >= 3 y (eq y y)) (atom R " + " ".join(R25_VARS) + "))",
       "--assign", json.dumps(dict.fromkeys(R25_VARS, 0))], "SizeExceeded"),
+    # the same bad atoms with no count: under a conjunct false at every size
+    (["eval", "no-edges.json", "--sexpr",
+      "(and (not (eq x x)) (atom Zed x))", "--assign", '{"x": 0}'],
+     "UnknownSymbol"),
+    (["eval", "no-edges.json", "--sexpr",
+      "(and (not (eq x x)) (atom E x))", "--assign", '{"x": 0}'],
+     "ArityMismatch"),
+    # 8 * 10**6 (vertex, i) pairs: refused before the condition is read
+    (["oracle", "million.json", "--cond", "c-list.json"], "SizeExceeded"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
@@ -334,6 +345,18 @@ def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
     warned = [DUP_WARNING] if any(a.endswith("dup.json") for a in argv) else []
     assert err.pop("warnings", []) == warned
     assert err["error"] == error and set(err) == {"error", "message"}
+
+
+def test_unreachable_vertices_are_counted_not_listed(tmp_path, capsys):
+    # 999,999 vertices unreachable from the root: the error names how many
+    # and the least of them
+    graph = tmp_path / "million.json"
+    graph.write_text('{"n": 1000000, "root": 0}')
+    assert main(["stats", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.encode()) < 200
+    assert json.loads(captured.err)["error"] == "MalformedInput"
 
 
 def test_warnings_ride_along_in_the_result(tmp_path, capsys):
