@@ -205,8 +205,17 @@ def cmd_interval(args):
     return doc, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise MalformedInput, so that a bad
+    argv ends like every other bad input: one JSON object on stderr. Its
+    subparsers are of this class too; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lreckit")
+    p = _Parser(prog="lreckit")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -287,10 +296,10 @@ def _with_warnings(doc: dict, caught) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            args = build_parser().parse_args(argv)
             doc, code = args.func(args)
             _emit(_with_warnings(doc, caught), args.out)
             return code

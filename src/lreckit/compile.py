@@ -27,12 +27,13 @@ from .cformula import (
     COUNT,
     EQ,
     EQN,
+    GE,
+    LE,
     NOT,
     OR,
     CFormula,
     Interner,
     TableEvaluator,
-    _compare,
     mk_and,
     mk_atom,
     mk_bool,
@@ -126,8 +127,9 @@ class FormulaCache:
         self.interner = interner if interner is not None else Interner()
         self._memo: dict[tuple, CFormula] = {}
         # (lrec formula, n, values of the resource variables its
-        # subformulas read) -> (node mapping, psi memo, size_test memo)
-        self._translations: dict[tuple, tuple[dict, dict, dict]] = {}
+        # subformulas read) -> (node mapping, psi memo, size_test memo,
+        # at_least memo)
+        self._translations: dict[tuple, tuple[dict, dict, dict, dict]] = {}
 
     def get(self, key: tuple) -> CFormula | None:
         return self._memo.get(key)
@@ -415,13 +417,20 @@ def eliminate_numbers(lf: LFormula, dom_map: dict[str, str],
 
 # --- the recursion-operator translation ------------------------------------
 
-def _count_vectors(n: int):
-    """All vectors (q_1..q_n), q_s = number of classes of size s, subject
-    to the total-elements bound sum(s * q_s) <= n."""
-    ranges = [range(n // s + 1) for s in range(1, n + 1)]
-    for q in itertools.product(*ranges):
-        if sum(s * qs for s, qs in zip(range(1, n + 1), q)) <= n:
-            yield q
+def _class_sizes(c: int, room: int, least: int = 1):
+    """The ways to pick c classes holding at most `room` elements, with
+    every size at least `least`: tuples of (size s, count q_s > 0) pairs,
+    by increasing size, with sum(q_s) == c and sum(s * q_s) <= room."""
+    if c == 0:
+        yield ()
+        return
+    # every class left has size >= s, so s * c <= room
+    for s in range(least, room // c + 1):
+        for q in range(1, c + 1):
+            if s * q > room:
+                break
+            for rest in _class_sizes(c - q, room - s * q, s + 1):
+                yield ((s, q), *rest)
 
 
 def translate_lrec_once(f: LFormula, n: int, m_values,
@@ -433,20 +442,27 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
 
     The result has one free domain variable, QUERY_VAR, standing for the
     queried element. Equality and edge atoms of the compiled X-formula are
-    replaced by definable-equivalence-guarded tests; counting quantifiers,
-    which range over equivalence classes, are decomposed by class size:
-    exactly q_s classes of size s satisfy a class-invariant test iff
-    exactly s*q_s elements satisfy it conjoined with "my class has size
-    s". This assumes the equality formula defines a genuine equivalence
-    relation: otherwise the classes are not disjoint and the sizes do not
-    add up.
+    replaced by definable-equivalence-guarded tests. Its counting
+    quantifiers range over equivalence classes, and every one of them is
+    built from "at least c classes satisfy the body" terms: `>= t` is the
+    term for t, `<= t` the negated term for t+1, and `= t` the term for t
+    and the negated term for t+1, so thresholds t and t+1 of one body share
+    a term. At least one class satisfies the body iff some element does.
+    At least c >= 2 classes do iff, for some choice of q_s classes of each
+    size s with sum(q_s) = c and sum(s * q_s) <= n, at least s * q_s
+    elements satisfy the body conjoined with "my class has exactly s
+    members", for every s with q_s > 0. This assumes the equality formula
+    defines a genuine equivalence relation, so that the body is
+    class-invariant and the classes are disjoint: otherwise an element
+    count does not measure classes and the sizes do not add up.
 
-    The node mapping (compiled node id -> translated node) and the psi and
-    size_test memos live on `cache`, keyed by the formula object, n and the
-    values of the resource variables that eq_f, edge_f and card_f read:
-    those are all a node's translation depends on. A repeat translation is
-    one lookup, and a new resource maps only the compiled nodes the mapping
-    has not seen. Resource values must be ints (bools are refused).
+    The node mapping (compiled node id -> translated node) and the psi,
+    size_test and at-least memos live on `cache`, keyed by the formula
+    object, n and the values of the resource variables that eq_f, edge_f
+    and card_f read: those are all a node's translation depends on. A
+    repeat translation is one lookup, and a new resource maps only the
+    compiled nodes the mapping has not seen. Resource values must be ints
+    (bools are refused).
     """
     itn = cache.interner
     if f.kind != LREC:
@@ -472,9 +488,9 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
 
     kappa_map = dict(zip(f.kappas, m_values))
     read = eq_f.num_free | edge_f.num_free | card_f.num_free
-    memo, psi_memo, size_memo = cache._translations.setdefault(
+    memo, psi_memo, size_memo, least_memo = cache._translations.setdefault(
         (f, n, tuple([v for k, v in kappa_map.items() if k in read])),
-        ({}, {}, {}))
+        ({}, {}, {}, {}))
     y1, y2, xvar = f.y1[0], f.y2[0], f.xs[0]
     s1, s2 = SUBST_VARS
 
@@ -497,10 +513,27 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
             size_memo[(s, z)] = hit
         return hit
 
+    def at_least(child: CFormula, z: str, c: int) -> CFormula:
+        # "at least c classes satisfy child": some q_s classes of each size
+        # s, with sum(q_s) == c, each met by s * q_s members in such classes
+        if c <= 0 or c > n:
+            return mk_bool(c <= 0, itn)
+        if c == 1:
+            return mk_exists(z, child, itn)
+        key = (child.nid, z, c)
+        hit = least_memo.get(key)
+        if hit is None:
+            hit = mk_or([
+                mk_and([mk_count(GE, s * q, z,
+                                 mk_and([child, size_test(s, z)], itn), itn)
+                        for s, q in sizes], itn)
+                for sizes in _class_sizes(c, n)], itn)
+            least_memo[key] = hit
+        return hit
+
     params = CompileParams(n, len(f.kappas))
     phi_x = compile_x_formula(params, resource, QUERY_VAR, cache=cache)
 
-    vectors = list(_count_vectors(n))
     for node in nodes(phi_x, memo):
         kind = node.kind
         if kind == BOOL:
@@ -534,23 +567,14 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
             out = mk_and([memo[c.nid] for c in node.children], itn)
         elif kind == COUNT:
             child = memo[node.children[0].nid]
-            z = node.bound_var
-            # "exactly qs classes of size s": one term per distinct (s, qs)
-            terms: dict[tuple[int, int], CFormula] = {}
-            picks = []
-            for q in vectors:
-                if not _compare(sum(q), node.mode, node.threshold):
-                    continue
-                conj = []
-                for s, qs in zip(range(1, n + 1), q):
-                    term = terms.get((s, qs))
-                    if term is None:
-                        term = mk_count(EQN, s * qs, z, mk_and(
-                            [child, size_test(s, z)], itn), itn)
-                        terms[(s, qs)] = term
-                    conj.append(term)
-                picks.append(mk_and(conj, itn))
-            out = mk_or(picks, itn)
+            z, t = node.bound_var, node.threshold
+            if node.mode == GE:
+                out = at_least(child, z, t)
+            elif node.mode == LE:
+                out = mk_not(at_least(child, z, t + 1), itn)
+            else:
+                out = mk_and([at_least(child, z, t),
+                              mk_not(at_least(child, z, t + 1), itn)], itn)
         else:
             raise AssertionError(kind)
         memo[node.nid] = out

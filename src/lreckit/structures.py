@@ -99,9 +99,21 @@ class DiGraph:
         if self.root is not None:
             if not (0 <= self.root < self.n):
                 raise IdOutOfRange(f"root {self.root} outside [0, {self.n - 1}]")
-            seen = reachable_closure(self, self.root)
+            # walk the edges alone: out_neighbours is O(n), and n may be
+            # far larger than the part reachable from the root
+            out: dict[int, list[int]] = {}
+            for u, v in self.edges:
+                out.setdefault(u, []).append(v)
+            seen = {self.root}
+            stack = [self.root]
+            while stack:
+                for w in out.get(stack.pop(), ()):
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
             if len(seen) < self.n:
-                least = next(v for v in range(self.n) if v not in seen)
+                # one of the len(seen) + 1 least ids is unreached
+                least = next(v for v in range(len(seen) + 1) if v not in seen)
                 raise MalformedInput(
                     f"{self.n - len(seen)} vertices unreachable from root"
                     f" {self.root}, the least {least}"

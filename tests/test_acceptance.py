@@ -27,6 +27,7 @@ from lreckit.compile import (
     FormulaCache,
     check_against_oracle,
     compile_x_formula,
+    translate_lrec_once,
 )
 from lreckit.corpus import all_conditions, enumerate_rooted_dags, generate_corpus
 from lreckit.dagstats import awt_restricted, weights
@@ -180,6 +181,20 @@ def test_criterion_6_scaling():
            f"nvars={set(max_nvars.values())}, "
            f"max qd/log2(n+1)={ratio_bound:.2f}, "
            f"size exponent~{slope:.2f}, {elapsed:.1f}s")
+
+
+def test_translated_formulas_keep_logarithmic_depth():
+    # criterion 6's bounds, for the counting-logic formulas that the lrec
+    # translation makes of battery formulas at resource n
+    cache = FormulaCache()
+    for idx in (0, 2, 8, 18):
+        f = BATTERY[idx][4]
+        shapes = {}
+        for n in range(2, 7):
+            cf = translate_lrec_once(f, n, (n,), cache)
+            shapes[n] = (qdepth(cf), nvars(cf))
+            assert qdepth(cf) / math.log2(n + 1) <= 20, (idx, shapes)
+        assert shapes[6][1] == shapes[5][1], (idx, shapes)
 
 
 def test_criterion_7_single_level_translation():

@@ -59,6 +59,18 @@ def test_reachable_closure():
     assert reachable_closure(g, 3) == {3}
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (4, {(0, 2), (2, 2)}, "2 vertices unreachable from root 0, the least 1"),
+    (5, {(0, 1), (1, 2), (2, 0)},
+     "2 vertices unreachable from root 0, the least 3"),
+    (3, {(2, 0), (0, 1)}, "1 vertices unreachable from root 0, the least 2"),
+])
+def test_root_check_names_the_least_unreachable_vertex(n, edges, message):
+    with pytest.raises(MalformedInput) as info:
+        DiGraph(n, frozenset(edges), root=0)
+    assert str(info.value) == message
+
+
 @given(small_digraphs())
 def test_digraph_json_round_trip(g):
     assert parse_digraph(g.to_json()) == g

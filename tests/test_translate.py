@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
 from lrec_battery import BATTERY, MAX_N_TWO_KAPPA, STRUCTURES, resource_tuples
+from lrec_strategies import lrec_formulas, structures
 from lreckit.cformula import (
     Interner,
     TableEvaluator,
@@ -63,12 +65,20 @@ def test_translation_agrees_on_small_structures(idx):
         sweep(f, kappas, s)
 
 
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(f=lrec_formulas(), s=structures())
+def test_translation_agrees_on_generated_formulas(f, s):
+    # every resource in [0, n] and every element, on one shared cache
+    sweep(f, f.kappas, s)
+
+
 @pytest.mark.parametrize("idx, n, tup, dag, qd, nv", [
-    (0, 3, (2,), 2034, 16, 7),
-    (22, 2, (1, 1), 8099, 22, 7),
+    (0, 3, (2,), 418, 16, 7),
+    (22, 2, (1, 1), 2871, 22, 7),
 ])
 def test_translation_shape_is_pinned(idx, n, tup, dag, qd, nv):
-    # measured before the count terms were shared; the same DAG results
+    # measured with the COUNT branch built from at-least terms; counting by
+    # class-count vectors of exact terms gave DAGs of 2034 and 8099 nodes
     cf = translate_lrec_once(BATTERY[idx][4], n, tup, FormulaCache())
     assert (dag_size(cf), qdepth(cf), nvars(cf)) == (dag, qd, nv)
 
