@@ -241,7 +241,8 @@ def _parse_tuples(name, raw, n):
 
 
 def parse_structure(text: str, vocabulary: Vocabulary | None = None) -> RelStructure:
-    """Parse the JSON structure format {"n": int, "rels": {name: [[ids...]...]}}.
+    """Parse the JSON structure format {"n": int, "rels": {name: [[ids...]...]}}
+    (plus "root", read by parse_digraph; any other key is refused).
 
     Without an explicit vocabulary, arities are inferred from the tuples
     (a relation with no tuples defaults to arity 1, or 2 for "E").
@@ -252,6 +253,13 @@ def parse_structure(text: str, vocabulary: Vocabulary | None = None) -> RelStruc
         raise MalformedInput(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc:
         raise MalformedInput("expected an object with an 'n' field")
+    # the keys to_json writes; a misspelt "rels" would otherwise read as a
+    # structure with no tuples
+    unknown = sorted(set(doc) - {"n", "rels", "root"})
+    if unknown:
+        raise MalformedInput(
+            f"unknown keys {unknown}: a structure has only 'n', 'rels' and"
+            " 'root'")
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise MalformedInput(f"'n' must be a positive integer, got {n!r}")

@@ -7,12 +7,25 @@ obtained by substituting w at each position. Color ids are canonical:
 signatures are sorted and numbered in that order, so runs are
 reproducible and graphs refined jointly share one id space. A coloring
 lists the colors of g's k-tuples in lexicographic order.
+
+Signatures are coded as ints. An atomic type is the binary number whose
+digits, from the high one down, are the equalities and then the edges
+over the position pairs. A color vector is the base-b number whose digits
+are its colors, where b is the previous round's class count, so every
+color is a digit. Both codes order exactly as the tuples of bools and of
+colors they stand for, so the sorted signatures, and with them the ids,
+are those of the tuples. The n tuples that differ only at position i
+share the column of their n substitution colors there: a round builds
+each position's columns once, scaled by its digit's weight, and a
+tuple's vector codes are the elementwise sum of its k columns.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from functools import partial, reduce
+from operator import add
 
 from .errors import SizeExceeded, SizeMismatch, UnsupportedDimension
 from .structures import Graph
@@ -21,25 +34,52 @@ MAX_DIMENSION = 3
 # n ** (k + 1) bounds one round's work: n^k tuples, n substitutions each
 MAX_WORK = 2 ** 20
 
+# the elementwise sum of two columns
+_add_columns = partial(map, add)
 
-def _signature(g: Graph, k: int, t: tuple[int, ...],
-               colors: list[int] | None) -> tuple:
-    """The atomic type of the k-tuple t (equalities and edges among its
-    entries) when colors is None, else its refined signature."""
-    if colors is None:
-        pairs = list(itertools.combinations(t, 2))
-        return (tuple(u == v for u, v in pairs),
-                tuple(g.has_edge(u, v) for u, v in pairs))
+
+def _atomic(g: Graph, k: int) -> list[int]:
+    """The atomic type of every k-tuple of g, coded as an int."""
+    n, adj = g.n, g.adj
+    pairs = list(itertools.combinations(range(k), 2))
+    equal = [u == v for u in range(n) for v in range(n)]
+    edge = [v in adj[u] for u in range(n) for v in range(n)]
+    # the entry at position i of every tuple, in lexicographic order
+    entries = [sorted(list(range(n)) * n ** (k - 1 - i)) * n ** i
+               for i in range(k)]
+    types = [0] * n ** k
+    for j, (a, b) in enumerate(pairs):
+        eq_bit = 1 << (2 * len(pairs) - 1 - j)
+        edge_bit = 1 << (len(pairs) - 1 - j)
+        # pair j's bits, at u * n + v when positions a and b hold u and v
+        bits = [eq_bit * e + edge_bit * d for e, d in zip(equal, edge)]
+        at = map(add, map(n.__mul__, entries[a]), entries[b])
+        types = list(map(add, types, map(bits.__getitem__, at)))
+    return types
+
+
+def _refined(g: Graph, k: int, colors: list[int], base: int) -> list[tuple]:
+    """The refined signature of every k-tuple of g, from the colors of the
+    last round, all below base."""
     if k == 1:
-        return (colors[t[0]], tuple(sorted(colors[w] for w in g.adj[t[0]])))
-    # substituting w at position i moves the index by (w - t_i) n^(k-1-i),
-    # so each position's n substitutions are one strided slice
+        return [(c, tuple(sorted(map(colors.__getitem__, nbrs))))
+                for c, nbrs in zip(colors, g.adj)]
     n = g.n
-    strides = [n ** (k - 1 - i) for i in range(k)]
-    index = sum(v * p for v, p in zip(t, strides))
-    columns = [colors[index - v * p:index + (n - v) * p:p]
-               for v, p in zip(t, strides)]
-    return (colors[index], tuple(sorted(zip(*columns))))
+    # per position, every tuple's column: substituting w at position i
+    # moves the index by (w - t_i) n^(k-1-i), so a column is one strided
+    # slice, shared by the n tuples with the same entries elsewhere
+    columns = []
+    for i in range(k):
+        stride, scale = n ** (k - 1 - i), base ** (k - 1 - i)
+        span = n * stride
+        per_tuple = []
+        for top in range(0, n ** k, span):
+            shared = [[c * scale for c in colors[s:s + span:stride]]
+                      for s in range(top, top + stride)]
+            per_tuple += shared * n
+        columns.append(per_tuple)
+    return [(c, tuple(sorted(reduce(_add_columns, cols))))
+            for c, cols in zip(colors, zip(*columns))]
 
 
 def rounds(graphs: list[Graph], k: int) -> Iterator[list[list[int]]]:
@@ -55,18 +95,17 @@ def rounds(graphs: list[Graph], k: int) -> Iterator[list[list[int]]]:
     n = max((g.n for g in graphs), default=0)
     if n ** (k + 1) > MAX_WORK:
         raise SizeExceeded(f"{n} ** {k + 1} > {MAX_WORK}: too large to refine")
-    colorings: list = [None] * len(graphs)
+    sigs = [_atomic(g, k) for g in graphs]
     classes = None
     while True:
-        sigs = [[_signature(g, k, t, colors)
-                 for t in itertools.product(range(g.n), repeat=k)]
-                for g, colors in zip(graphs, colorings)]
         ids = {s: i for i, s in enumerate(sorted(set().union(*sigs)))}
-        colorings = [[ids[s] for s in gsigs] for gsigs in sigs]
+        colorings = [list(map(ids.__getitem__, gsigs)) for gsigs in sigs]
         yield colorings
         if len(ids) == classes:
             return
         classes = len(ids)
+        sigs = [_refined(g, k, colors, classes)
+                for g, colors in zip(graphs, colorings)]
 
 
 def distinguish(g: Graph, h: Graph, k: int, max_rounds: int) -> int | None:

@@ -178,6 +178,7 @@ STRUCTURES = {
     "r25.json": json.dumps({"n": 2, "rels": {"R": [[0] * 25]}}),
     "million.json": '{"n": 1000000}',
     "c-list.json": '{"C": []}',
+    "edges-key.json": '{"n": 3, "edges": [[0, 1], [1, 2]]}',
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -331,6 +332,10 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     (["compile", "--n", "abc", "--i", "1"], "MalformedInput"),
     (["nosuch"], "MalformedInput"),
     (["compile", "--i", "1"], "MalformedInput"),
+    # a key that is not "rels" would leave the structure without tuples
+    (["eval", "edges-key.json", "--sexpr", "(atom E x y)", "--assign",
+      '{"x": 0, "y": 1}'], "MalformedInput"),
+    (["wl", "edges-key.json", "three.json", "--k", "1"], "MalformedInput"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):

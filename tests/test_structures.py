@@ -95,6 +95,19 @@ def test_parse_structure_rejects_bad_input():
         parse_structure('{"n": 2, "rels": {"R": [[0], [0, 1]]}}')
 
 
+def test_parse_structure_refuses_unknown_keys():
+    # "edges" is not "rels": read as the edgeless graph, it would be a
+    # wrong answer with no warning
+    with pytest.raises(MalformedInput) as info:
+        parse_structure('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+    assert str(info.value) == (
+        "unknown keys ['edges']: a structure has only 'n', 'rels' and 'root'")
+    for parse in (parse_structure, parse_graph, parse_digraph):
+        with pytest.raises(MalformedInput):
+            parse('{"n": 2, "rels": {}, "root": 0, "Rels": {}}')
+    assert parse_structure('{"n": 1, "rels": {}, "root": 0}').n == 1
+
+
 def test_parse_graph_symmetrizes():
     g = parse_graph('{"n": 3, "rels": {"E": [[1, 0], [1, 2]]}}')
     assert g.has_edge(0, 1) and g.has_edge(1, 0)

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import math
 import random
 import time
 
@@ -106,6 +109,21 @@ def test_no_round_past_max_rounds(monkeypatch):
         assert computed == list(range(max(max_rounds, 0) + 1))
 
 
+def test_path_unions_separate_in_logarithmically_many_rounds():
+    # P_a + P_(a+1) against P_(a-1) + P_(a+2), a = 4, 8, 16 (up to 33
+    # vertices): interval graphs with the same degree sequence. Colour
+    # refinement sees the ends of a path one step further each round, so
+    # it needs a/2 rounds; 2-dimensional refinement composes the distances
+    # it has seen, doubling them each round
+    for a in (4, 8, 16):
+        g = disjoint_union(path_graph(a), path_graph(a + 1))
+        h = disjoint_union(path_graph(a - 1), path_graph(a + 2))
+        assert distinguish(g, h, 1, a) == a // 2
+        separated = distinguish(g, h, 2, a)
+        assert separated is not None
+        assert separated <= math.ceil(math.log2(a))
+
+
 def degree_sentence(c, d, itn):
     """At least c vertices with at least d neighbours: depth 2, 2 vars."""
     return mk_count(">=", c, "x", mk_count(
@@ -188,3 +206,18 @@ def test_rounds_beyond_stabilisation_change_nothing():
     started = time.perf_counter()
     assert distinguish(g, h, 2, 10 ** 6) is None
     assert time.perf_counter() - started < 2.0
+
+
+def test_canonical_color_ids_are_pinned():
+    # the class counts alone would not see a renumbering: hash every
+    # round's colorings of seeded random pairs
+    rng = random.Random(27)
+    runs = []
+    for _ in range(60):
+        k = rng.choice((1, 2, 3))
+        g, h = random_graph(rng, rng.randint(1, 7)), \
+            random_graph(rng, rng.randint(1, 7))
+        runs.append(list(rounds([g, h], k)))
+    digest = hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+    assert digest == (
+        "399cee5a24ab96aa171b5146c7039d530115dc7d0165565bcd33814772d8e957")
