@@ -577,7 +577,8 @@ def _fill(memo: dict, todo: Iterable[CFormula], n: int,
           leaf: Callable[[CFormula], int] | None) -> None:
     """Put in memo the table at n of each node of todo that it lacks, in
     turn: a node's children are in memo or before it in todo. `leaf`
-    gives the table of an ATOM node."""
+    gives the table of an ATOM node. No node of todo has a _CONST step:
+    `_plan` keeps those among its constant tables."""
     for f in todo:
         if f in memo:
             continue
@@ -608,8 +609,6 @@ def _fill(memo: dict, todo: Iterable[CFormula], n: int,
                 tbl |= memo[c]
         elif code == _XOR:
             tbl = memo[f.children[0]] ^ arg
-        elif code == _CONST:
-            tbl = arg
         else:
             tbl = leaf(f)
         memo[f] = tbl

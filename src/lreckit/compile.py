@@ -393,8 +393,6 @@ def eliminate_numbers(lf: LFormula, dom_map: dict[str, str],
                 go(f.children[0], dmap, {**nmap, f.bound_var: v}, depth)
                 for v in range(n + 1)
             ]
-            if target > n + 1:
-                return mk_bool(False, itn)
             picks = []
             for chosen in itertools.combinations(range(n + 1), target):
                 chosen = set(chosen)
@@ -424,11 +422,9 @@ def _class_sizes(c: int, room: int, least: int = 1):
     if c == 0:
         yield ()
         return
-    # every class left has size >= s, so s * c <= room
+    # every class left has size >= s, so s * q <= s * c <= room
     for s in range(least, room // c + 1):
         for q in range(1, c + 1):
-            if s * q > room:
-                break
             for rest in _class_sizes(c - q, room - s * q, s + 1):
                 yield ((s, q), *rest)
 

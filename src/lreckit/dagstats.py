@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import IdOutOfRange, NotAcyclic, NotRooted, PreconditionViolated
-from .structures import DiGraph, reachable_closure
+from .structures import DiGraph, _kahn, _reach
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,10 @@ def restricted(g: DiGraph, v: int, w_set: Iterable[int]) -> frozenset[int]:
     if not 0 <= v < g.n:
         raise IdOutOfRange(f"id {v} not in [0, {g.n - 1}]")
     w_set = frozenset(w_set)
-    keep = {v}
-    stack = [] if v in w_set else [v]
-    while stack:
-        for x in g.out_neighbours[stack.pop()]:
-            if x not in keep:
-                keep.add(x)
-                if x not in w_set:
-                    stack.append(x)
+    keep = _reach(g.out_neighbours, v, w_set)
     unreached = w_set - keep
     if unreached:
-        unreached -= reachable_closure(g, v)
+        unreached -= _reach(g.out_neighbours, v)
         if unreached:
             raise PreconditionViolated(f"{min(unreached)} is not reachable from {v}")
     return frozenset(keep)
@@ -64,21 +57,8 @@ def _walk(g: DiGraph, v: int, w_set: Iterable[int]) -> list[tuple[int, list[int]
     inequality the balancer relies on.
     """
     w_set = frozenset(w_set)
-    keep = restricted(g, v, w_set)
-    preds = {u: [p for p in g.in_neighbours[u] if p in keep and p not in w_set]
-             for u in keep}
-    left = {u: len(ps) for u, ps in preds.items()}
-    ready = [u for u, k in left.items() if k == 0]
-    order = []
-    while ready:
-        u = ready.pop()
-        order.append((u, preds[u]))
-        if u not in w_set:
-            for x in g.out_neighbours[u]:
-                left[x] -= 1
-                if left[x] == 0:
-                    ready.append(x)
-    if len(order) < len(keep):
+    order = _kahn(g, restricted(g, v, w_set), w_set)
+    if order is None:
         raise NotAcyclic("graph has a cycle")
     return order
 

@@ -194,8 +194,6 @@ class LEvaluator:
     def __init__(self, structure: RelStructure):
         self.structure = structure
         self._memo: dict[tuple, bool] = {}
-        # the formulas whose quotient work _check_work has passed
-        self._bounded: set[LFormula] = set()
 
     def eval(self, f: LFormula, a: TwoSortedAssignment | None = None) -> bool:
         """Truth of f under a. Raises IdOutOfRange for a domain value that
@@ -216,9 +214,7 @@ class LEvaluator:
             raise UnboundVariable(
                 f"unassigned variables: {sorted(missing_d | missing_n)}"
             )
-        if f not in self._bounded:
-            self._check_work(f)
-            self._bounded.add(f)
+        self._check_work(f)
         return self._eval(f, a)
 
     def _check_work(self, top: LFormula) -> None:
@@ -323,7 +319,10 @@ class LEvaluator:
         and transitive closure of the equality formula (with a warning when
         closure changed it), label each class with the encoded iota-tuples
         that satisfy the card formula for any member, and look the queried
-        class and resource up in X of the quotient."""
+        class and resource up in X of the quotient.
+
+        The inner evaluations skip eval's checks: the public eval already
+        checked the assignment and bounded the work of every lrec below."""
         eq_f, edge_f, card_f = f.children
         n, k, w = self.structure.n, len(f.y1), len(f.iotas)
         verts = list(itertools.product(range(n), repeat=k))
@@ -338,7 +337,7 @@ class LEvaluator:
             for u in verts:
                 au = with_tuple(a, f.y1, u)
                 for v in verts:
-                    if self.eval(g, with_tuple(au, f.y2, v)):
+                    if self._eval(g, with_tuple(au, f.y2, v)):
                         yield u, v
 
         # RST closure = connected components of the symmetrized relation,
@@ -379,7 +378,7 @@ class LEvaluator:
             for ivals in itertools.product(range(n + 1), repeat=w):
                 sub = au.copy()
                 sub.num.update(zip(f.iotas, ivals))
-                if self.eval(card_f, sub):
+                if self._eval(card_f, sub):
                     labels[index[u]].add(decode_number(ivals, n))
 
         resource = decode_number(tuple(a.num[v] for v in f.kappas), n)

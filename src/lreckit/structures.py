@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -101,16 +102,10 @@ class DiGraph:
                 raise IdOutOfRange(f"root {self.root} outside [0, {self.n - 1}]")
             # walk the edges alone: out_neighbours is O(n), and n may be
             # far larger than the part reachable from the root
-            out: dict[int, list[int]] = {}
+            out: defaultdict[int, list[int]] = defaultdict(list)
             for u, v in self.edges:
-                out.setdefault(u, []).append(v)
-            seen = {self.root}
-            stack = [self.root]
-            while stack:
-                for w in out.get(stack.pop(), ()):
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+                out[u].append(v)
+            seen = _reach(out, self.root)
             if len(seen) < self.n:
                 # one of the len(seen) + 1 least ids is unreached
                 least = next(v for v in range(len(seen) + 1) if v not in seen)
@@ -190,37 +185,53 @@ class Graph:
         return RelStructure(GRAPH_VOCABULARY, self.n, {"E": sym})
 
 
+def _reach(succ, v: int, sinks: frozenset[int] = frozenset()) -> set[int]:
+    """The vertices reachable from v along the successor table succ by
+    paths that may end at a vertex of sinks but never leave one."""
+    seen = {v}
+    stack = [] if v in sinks else [v]
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                if w not in sinks:
+                    stack.append(w)
+    return seen
+
+
+def _kahn(g: DiGraph, keep, sinks: frozenset[int] = frozenset()
+          ) -> list[tuple[int, list[int]]] | None:
+    """The vertices of keep in a topological order of the subgraph they
+    span without the outgoing edges of sinks, each paired with its
+    predecessors there; None if that subgraph has a cycle. keep must hold
+    every successor of its vertices that are not sinks."""
+    preds = {u: [p for p in g.in_neighbours[u] if p in keep and p not in sinks]
+             for u in keep}
+    left = {u: len(ps) for u, ps in preds.items()}
+    ready = [u for u, k in left.items() if k == 0]
+    order = []
+    while ready:
+        u = ready.pop()
+        order.append((u, preds[u]))
+        if u not in sinks:
+            for x in g.out_neighbours[u]:
+                left[x] -= 1
+                if left[x] == 0:
+                    ready.append(x)
+    return order if len(order) == len(preds) else None
+
+
 def reachable_closure(g: DiGraph, root: int) -> set[int]:
     """All vertices reachable from root, including root itself."""
     if not (0 <= root < g.n):
         raise IdOutOfRange(f"id {root} not in [0, {g.n - 1}]")
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in g.out_neighbours[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+    return _reach(g.out_neighbours, root)
 
 
 def topological_order(g: DiGraph) -> list[int] | None:
-    """Topological order of g, or None if g has a cycle."""
-    indeg = [g.in_degree(v) for v in range(g.n)]
-    queue = sorted(v for v in range(g.n) if indeg[v] == 0)
-    order = []
-    import heapq
-
-    heapq.heapify(queue)
-    while queue:
-        u = heapq.heappop(queue)
-        order.append(u)
-        for w in g.out_neighbours[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(queue, w)
-    return order if len(order) == g.n else None
+    """A topological order of g, or None if g has a cycle."""
+    order = _kahn(g, range(g.n))
+    return None if order is None else [u for u, _ in order]
 
 
 def _parse_tuples(name, raw, n):

@@ -112,6 +112,15 @@ def test_checker_flags_missing_children():
     assert not report.items["leaf_characterization"]
 
 
+def test_checker_flags_an_uncovered_vertex():
+    tree = build_tree(DIAMOND)
+    tree.root.children.pop()
+    report = check_tree(DIAMOND, tree)
+    assert report.items == {**dict.fromkeys(report.items, True),
+                            "cover": False}
+    assert report.witnesses == {"cover": "node (0, []) misses [2]"}
+
+
 def test_checker_flags_bogus_deep_chain():
     # a degenerate chain that never halves: every node repeats the root
     g = DiGraph(2, frozenset({(0, 1)}), root=0)

@@ -95,6 +95,23 @@ def test_lrec_eval(files):
     assert code == 0 and doc["result"] is False
 
 
+@pytest.mark.parametrize("command, sexpr, assign", [
+    ("eval", "(count >= 1 x (atom E x y))", '{"y": 1}'),
+    ("lrec-eval", "(exists y (atom E x y))", '{"dom": {"x": 3}}'),
+])
+def test_formula_file_prints_what_sexpr_prints(command, sexpr, assign, files,
+                                               tmp_path, capsys):
+    formula = tmp_path / "formula.sexpr"
+    formula.write_text(sexpr + "\n")
+    printed = []
+    for source in (["--sexpr", sexpr], ["--formula", str(formula)]):
+        assert main([command, files["p4.json"], *source,
+                     "--assign", assign]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0].err == ""
+    assert printed[1] == printed[0]
+
+
 def test_compile_and_stats_fields(files):
     code, doc = run(["compile", "--n", "3", "--r", "1", "--i", "2"], files["out"])
     assert code == 0
@@ -179,6 +196,8 @@ STRUCTURES = {
     "million.json": '{"n": 1000000}',
     "c-list.json": '{"C": []}',
     "edges-key.json": '{"n": 3, "edges": [[0, 1], [1, 2]]}',
+    "path3.json": graph_json(path_graph(3)),
+    "path4.json": graph_json(path_graph(4)),
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -336,6 +355,13 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     (["eval", "edges-key.json", "--sexpr", "(atom E x y)", "--assign",
       '{"x": 0, "y": 1}'], "MalformedInput"),
     (["wl", "edges-key.json", "three.json", "--k", "1"], "MalformedInput"),
+    (["eval", "one.json"], "MalformedInput"),
+    (["wl", "path3.json", "path4.json", "--k", "1"], "SizeMismatch"),
+    (["lrec-eval", "one.json", "--sexpr",
+      "(lrec (a b c d) (e f g h) (i) (bool t) (bool f) (bool t)"
+      " (x1 x2 x3 x4) (k))", "--assign",
+      '{"dom": {"x1": 0, "x2": 0, "x3": 0, "x4": 0}, "num": {"k": 1}}'],
+     "UnsupportedDimension"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
