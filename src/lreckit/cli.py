@@ -86,6 +86,10 @@ def cmd_lrec_eval(args):
     s = parse_structure(_read(args.structure))
     f = parse_lsexpr(_formula_text(args))
     raw = _assignment(args.assign)
+    unknown = sorted(set(raw) - {"dom", "num"})
+    if unknown:
+        raise MalformedInput(
+            f"--assign has unknown keys {unknown}: it has only 'dom' and 'num'")
     dom, num = raw.get("dom", {}), raw.get("num", {})
     if not isinstance(dom, dict) or not isinstance(num, dict):
         raise MalformedInput('--assign "dom" and "num" must be JSON objects')

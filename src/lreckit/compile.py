@@ -483,9 +483,8 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
         return mk_bool(False, itn)
 
     kappa_map = dict(zip(f.kappas, m_values))
-    read = eq_f.num_free | edge_f.num_free | card_f.num_free
     memo, psi_memo, size_memo, least_memo = cache._translations.setdefault(
-        (f, n, tuple([v for k, v in kappa_map.items() if k in read])),
+        (f, n, tuple([v for k, v in kappa_map.items() if k in f.reads[1]])),
         ({}, {}, {}, {}))
     y1, y2, xvar = f.y1[0], f.y2[0], f.xs[0]
     s1, s2 = SUBST_VARS

@@ -52,16 +52,12 @@ MAX_QUOTIENT_WORK = 2 ** 20
 # Number terms: ("var", name) | ("lit", value) | ("min",) | ("max",)
 
 
-def _term_free(term: tuple) -> frozenset[str]:
-    return frozenset((term[1],)) if term[0] == "var" else frozenset()
-
-
 class LFormula:
     """One AST node (a tree, not interned), built by parse_lsexpr."""
 
     __slots__ = ("kind", "value", "vars", "symbol", "children", "bound_var",
                  "terms", "kappa", "y1", "y2", "iotas", "xs", "kappas",
-                 "dom_free", "num_free")
+                 "reads", "dom_free", "num_free")
 
     def __init__(self, kind, *, value=None, vars=(), symbol=None, children=(),
                  bound_var=None, terms=(), kappa=None,
@@ -80,35 +76,7 @@ class LFormula:
         self.xs = tuple(xs)
         self.kappas = tuple(kappas)
 
-        if kind == LBOOL:
-            self.dom_free, self.num_free = frozenset(), frozenset()
-        elif kind in (LEQ, LATOM):
-            self.dom_free, self.num_free = frozenset(self.vars), frozenset()
-        elif kind in (LNOT, LOR, LAND):
-            self.dom_free = frozenset().union(
-                *(c.dom_free for c in self.children)) if children else frozenset()
-            self.num_free = frozenset().union(
-                *(c.num_free for c in self.children)) if children else frozenset()
-        elif kind == LEXISTS:
-            (c,) = self.children
-            self.dom_free = c.dom_free - {bound_var}
-            self.num_free = c.num_free
-        elif kind == NUMEXISTS:
-            (c,) = self.children
-            self.dom_free = c.dom_free
-            self.num_free = c.num_free - {bound_var}
-        elif kind in (NUMLE, NUMSUCC, NUMEQ):
-            self.dom_free = frozenset()
-            self.num_free = _term_free(self.terms[0]) | _term_free(self.terms[1])
-        elif kind == COUNTDOM:
-            (c,) = self.children
-            self.dom_free = c.dom_free - {bound_var}
-            self.num_free = c.num_free | _term_free(kappa)
-        elif kind == COUNTNUM:
-            (c,) = self.children
-            self.dom_free = c.dom_free
-            self.num_free = (c.num_free - {bound_var}) | _term_free(kappa)
-        elif kind == LREC:
+        if kind == LREC:
             k = len(self.y1)
             if not (len(self.y2) == len(self.xs) == k) or k < 1:
                 raise ArityMismatch(
@@ -117,23 +85,32 @@ class LFormula:
                 )
             if not self.iotas or not self.kappas:
                 raise ArityMismatch("iota and kappa tuples must be non-empty")
+        dom, num = set(), set()
+        for child, bound_dom, bound_num in self.scopes():
+            dom |= child.dom_free - set(bound_dom)
+            num |= child.num_free - set(bound_num)
+        # what the subformulas read: for lrec, all that its quotient reads
+        self.reads = (frozenset(dom), frozenset(num))
+        dom.update(self.vars, self.xs)
+        terms = (*self.terms, kappa) if kappa else self.terms
+        num.update(self.kappas, (t[1] for t in terms if t[0] == "var"))
+        self.dom_free, self.num_free = frozenset(dom), frozenset(num)
+
+    def scopes(self) -> list[tuple]:
+        """Each child with the domain and number variables this node binds
+        in it: a quantifier binds its variable, and lrec binds y1, y2 in
+        its equality and edge formulas and y1 and the iotas in its label
+        formula."""
+        if self.kind in (LEXISTS, COUNTDOM):
+            return [(self.children[0], (self.bound_var,), ())]
+        if self.kind in (NUMEXISTS, COUNTNUM):
+            return [(self.children[0], (), (self.bound_var,))]
+        if self.kind == LREC:
             eq_f, edge_f, card_f = self.children
-            pairs = set(self.y1) | set(self.y2)
-            # free(lrec) = (free(eq) + free(edge)) \ (y1+y2)
-            #              + (free(card) \ (y1+iotas)) + xs + kappas
-            self.dom_free = frozenset(
-                ((eq_f.dom_free | edge_f.dom_free) - pairs)
-                | (card_f.dom_free - set(self.y1))
-                | set(self.xs)
-            )
-            self.num_free = frozenset(
-                eq_f.num_free
-                | edge_f.num_free
-                | (card_f.num_free - set(self.iotas))
-                | set(self.kappas)
-            )
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
+            pair = self.y1 + self.y2
+            return [(eq_f, pair, ()), (edge_f, pair, ()),
+                    (card_f, self.y1, self.iotas)]
+        return [(c, (), ()) for c in self.children]
 
     def contains_lrec(self) -> bool:
         if self.kind == LREC:
@@ -194,6 +171,8 @@ class LEvaluator:
     def __init__(self, structure: RelStructure):
         self.structure = structure
         self._memo: dict[tuple, bool] = {}
+        # lrec quotients: (XInstance, class index) per _key of f.reads
+        self._quotients: dict[tuple, tuple] = {}
 
     def eval(self, f: LFormula, a: TwoSortedAssignment | None = None) -> bool:
         """Truth of f under a. Raises IdOutOfRange for a domain value that
@@ -222,20 +201,15 @@ class LEvaluator:
         take more than MAX_QUOTIENT_WORK evaluations in all.
 
         An lrec node g builds one quotient, of n^(2k) + n^k (n+1)^w equality,
-        edge and label evaluations, per memo key: per assignment of those of
-        its free variables that top's assignment does not fix, that is,
-        that are not free in top or are bound again on the way to g."""
+        edge and label evaluations, per assignment of g.reads that top's
+        assignment leaves open: of those variables that are not free in top
+        or are bound again on the way to g."""
         n = self.structure.n
         total = 0
         stack = [(top, top.dom_free, top.num_free)]
         while stack:
             g, dom, num = stack.pop()
-            kind, children = g.kind, g.children
-            if kind in (LEXISTS, COUNTDOM):
-                stack.append((children[0], dom - {g.bound_var}, num))
-            elif kind in (NUMEXISTS, COUNTNUM):
-                stack.append((children[0], dom, num - {g.bound_var}))
-            elif kind == LREC:
+            if g.kind == LREC:
                 k, w = len(g.y1), len(g.iotas)
                 if k > MAX_TUPLE_WIDTH:
                     raise UnsupportedDimension(
@@ -245,26 +219,23 @@ class LEvaluator:
                     raise SizeExceeded(
                         f"iota width {w} exceeds {MAX_NUM_TUPLE}")
                 total += ((n ** (2 * k) + n ** k * (n + 1) ** w)
-                          * n ** len(g.dom_free - dom)
-                          * (n + 1) ** len(g.num_free - num))
-                eq_f, edge_f, card_f = children
-                pair = dom - set(g.y1) - set(g.y2)
-                stack += [(eq_f, pair, num), (edge_f, pair, num),
-                          (card_f, dom - set(g.y1), num - set(g.iotas))]
-            else:
-                stack += [(c, dom, num) for c in children]
+                          * n ** len(g.reads[0] - dom)
+                          * (n + 1) ** len(g.reads[1] - num))
+            stack += [(c, dom - set(bound_dom), num - set(bound_num))
+                      for c, bound_dom, bound_num in g.scopes()]
         if total > MAX_QUOTIENT_WORK:
             raise SizeExceeded(
                 f"quotient work {total} exceeds {MAX_QUOTIENT_WORK}")
 
-    def _eval(self, f: LFormula, a: TwoSortedAssignment) -> bool:
+    @staticmethod
+    def _key(f: LFormula, a: TwoSortedAssignment, dom, num) -> tuple:
         # Keyed on the node itself (identity hash): the memo keeps f alive,
         # so a later node can never take over its key.
-        key = (
-            f,
-            tuple(sorted((v, a.dom[v]) for v in f.dom_free)),
-            tuple(sorted((v, a.num[v]) for v in f.num_free)),
-        )
+        return (f, tuple(sorted((v, a.dom[v]) for v in dom)),
+                tuple(sorted((v, a.num[v]) for v in num)))
+
+    def _eval(self, f: LFormula, a: TwoSortedAssignment) -> bool:
+        key = self._key(f, a, f.dom_free, f.num_free)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
@@ -315,11 +286,24 @@ class LEvaluator:
         raise AssertionError(f.kind)
 
     def _eval_lrec(self, f: LFormula, a: TwoSortedAssignment) -> bool:
+        """Look the queried class and resource up in X of f's quotient,
+        built once per assignment of f.reads."""
+        key = self._key(f, a, *f.reads)
+        quotient = self._quotients.get(key)
+        if quotient is None:
+            quotient = self._quotients[key] = self._quotient(f, a)
+        inst, index = quotient
+        resource = decode_number(tuple(a.num[v] for v in f.kappas),
+                                 self.structure.n)
+        if resource < 1:
+            return False
+        return compute_X(inst, index[tuple(a.dom[v] for v in f.xs)], resource)
+
+    def _quotient(self, f: LFormula, a: TwoSortedAssignment) -> tuple:
         """Contract the definable graph on V^k by the reflexive, symmetric
         and transitive closure of the equality formula (with a warning when
-        closure changed it), label each class with the encoded iota-tuples
-        that satisfy the card formula for any member, and look the queried
-        class and resource up in X of the quotient.
+        closure changed it), and label each class with the encoded
+        iota-tuples that satisfy the card formula for any member.
 
         The inner evaluations skip eval's checks: the public eval already
         checked the assignment and bounded the work of every lrec below."""
@@ -381,14 +365,11 @@ class LEvaluator:
                 if self._eval(card_f, sub):
                     labels[index[u]].add(decode_number(ivals, n))
 
-        resource = decode_number(tuple(a.num[v] for v in f.kappas), n)
-        if resource < 1:
-            return False
         # Labels above a class's out-degree are unattainable but harmless;
         # keeping them does not change X.
-        inst = XInstance(DiGraph(len(classes), edges),
-                         CardinalityCondition(tuple(map(frozenset, labels))))
-        return compute_X(inst, index[tuple(a.dom[v] for v in f.xs)], resource)
+        return (XInstance(DiGraph(len(classes), edges),
+                          CardinalityCondition(tuple(map(frozenset, labels)))),
+                index)
 
 
 def eval_lrec(s: RelStructure, f: LFormula,

@@ -4,6 +4,7 @@ import io
 import json
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,19 +218,37 @@ SEVEN_IOTAS = ["lrec-eval", "six.json", "--sexpr",
                "(lrec (y1) (y2) (" + " ".join(["i"] * 7) + ") (eq y1 y2)"
                " (atom E y1 y2) (bool f) (x) (k))",
                "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
-# each quotient is under MAX_QUOTIENT_WORK (3,240 and 68,840 evaluations),
-# but the inner one is built again for each of the 40 values of y2
-NESTED_RING = ["lrec-eval", "ring40.json", "--sexpr",
-               "(lrec (y1) (y2) (i) (eq y1 y2) (and (atom E y1 y2)"
-               " (lrec (a) (b) (j l) (eq a b) (atom E a b) (num-le j l)"
-               " (y2) (m))) (num-le i 1) (x) (k))",
-               "--assign", '{"dom": {"x": 0}, "num": {"k": 2, "m": 1}}']
-# x is free in the formula but bound again above the lrec, whose quotient
-# (68,840 evaluations) is then built for each of the 40 values of x
-REBOUND_X = ["lrec-eval", "forty.json", "--sexpr",
-             "(or (atom E x x) (exists x (lrec (y1) (y2) (i j) (eq y1 y2)"
-             " (atom E y1 y2) (bool f) (x) (k))))",
-             "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
+
+
+def nested_ring(eq):
+    # the inner lrec queries the outer one's y2, on a 40-element ring
+    return ["lrec-eval", "ring40.json", "--sexpr",
+            "(lrec (y1) (y2) (i) (eq y1 y2) (and (atom E y1 y2)"
+            f" (lrec (a) (b) (j l) {eq} (atom E a b) (num-le j l)"
+            " (y2) (m))) (num-le i 1) (x) (k))",
+            "--assign", '{"dom": {"x": 0}, "num": {"k": 2, "m": 1}}']
+
+
+def rebound_x(eq):
+    # x is free in the formula but bound again above the lrec
+    return ["lrec-eval", "forty.json", "--sexpr",
+            f"(or (atom E x x) (exists x (lrec (y1) (y2) (i j) {eq}"
+            " (atom E y1 y2) (bool f) (x) (k))))",
+            "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
+
+
+# The quotients (3,240 and 68,840 evaluations) read neither the query
+# tuple nor the resource, so each is built once: y2 and x only pick the
+# class that is queried.
+NESTED_RING = nested_ring("(eq a b)")
+REBOUND_X = rebound_x("(eq y1 y2)")
+# Equality formulas that read y2 and x: the inner quotient is built for each
+# of the 40 values of y2 (3,240 + 40 * 68,840 evaluations), and the other
+# for each of the 40 values of x (40 * 68,840), both above MAX_QUOTIENT_WORK.
+NESTED_RING_READS_Y2 = nested_ring(
+    "(or (eq a b) (and (atom E a y2) (atom E b y2)))")
+REBOUND_X_READS_X = rebound_x(
+    "(or (eq y1 y2) (and (atom E y1 x) (atom E y2 x)))")
 # variables that only the equality formula reads are free in the lrec node
 EQ_ONLY = ["(lrec (y1) (y2) (i) (eq y1 z) (atom E y1 y2) (bool t) (x) (k))",
            "(lrec (y1) (y2) (i) (and (eq y1 y2) (num-eq j 0)) (atom E y1 y2)"
@@ -307,8 +326,8 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     *((["lrec-eval", "edge.json", "--sexpr", text, "--assign",
         '{"dom": {"x": 0}, "num": {"k": 1}}'], "UnboundVariable")
       for text in EQ_ONLY),
-    (NESTED_RING, "SizeExceeded"),
-    (REBOUND_X, "SizeExceeded"),
+    (NESTED_RING_READS_Y2, "SizeExceeded"),
+    (REBOUND_X_READS_X, "SizeExceeded"),
     # 3 * 10**8 (vertex, i) pairs, and 10**8 instances
     (["oracle", "g.json", "--cond", "c-ok.json", "--max-i", "100000000"],
      "SizeExceeded"),
@@ -362,6 +381,17 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
       " (x1 x2 x3 x4) (k))", "--assign",
       '{"dom": {"x1": 0, "x2": 0, "x3": 0, "x4": 0}, "num": {"k": 1}}'],
      "UnsupportedDimension"),
+    # a misspelt "num" is named, not dropped without a word
+    (["lrec-eval", "edge.json", "--sexpr", "(atom E x x)", "--assign",
+      '{"dom": {"x": 0}, "nmu": {"k": 1}}'], "MalformedInput"),
+    # y1/y2/x widths 1/2/1
+    (["lrec-eval", "edge.json", "--sexpr",
+      "(lrec (y1) (y2 z2) (i) (eq y1 y2) (atom E y1 y2) (bool t) (x) (k))"],
+     "ArityMismatch"),
+    # no iota variable
+    (["lrec-eval", "edge.json", "--sexpr",
+      "(lrec (y1) (y2) () (eq y1 y2) (atom E y1 y2) (bool t) (x) (k))"],
+     "ArityMismatch"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):
@@ -380,6 +410,20 @@ def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
     warned = [DUP_WARNING] if any(a.endswith("dup.json") for a in argv) else []
     assert err.pop("warnings", []) == warned
     assert err["error"] == error and set(err) == {"error", "message"}
+
+
+@pytest.mark.parametrize("argv, result", [
+    (NESTED_RING, True),
+    (REBOUND_X, False),
+])
+def test_one_quotient_answers_every_query(argv, result, tmp_path, capsys):
+    for name in ("forty.json", "ring40.json"):
+        (tmp_path / name).write_text(STRUCTURES[name])
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"result": result}
 
 
 def test_unreachable_vertices_are_counted_not_listed(tmp_path, capsys):
@@ -649,7 +693,7 @@ def test_byte_identical_reruns(files, tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     main(["verify", "--n", "3", "--seed", "2", "--count", "3", "--out", out1])
     main(["verify", "--n", "3", "--seed", "2", "--count", "3", "--out", out2])
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 # the input files that GOLDEN commands name; P4 + P5 against P3 + P6 needs

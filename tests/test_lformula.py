@@ -3,9 +3,11 @@ import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
 
 from helpers import fig1_instance
 from lrec_battery import BATTERY, STRUCTURES
+from lrec_strategies import lrec_formulas, structures
 from lreckit.errors import (
     IdOutOfRange,
     MalformedInput,
@@ -215,6 +217,18 @@ def test_lrec_rereads_what_only_its_equality_formula_reads(text):
             differ += len(set(want)) > 1
     # the answer does depend on z
     assert differ > 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(f=lrec_formulas(), s=structures())
+def test_one_evaluator_answers_every_query_from_its_quotients(f, s):
+    # the generated subformulas may read x and k; one evaluator asked every
+    # x and k agrees with a fresh evaluator per assignment
+    shared = LEvaluator(s)
+    for x, k in itertools.product(range(s.n), range(s.n + 1)):
+        a = TwoSortedAssignment({"x": x}, {"k": k})
+        want = eval_lrec(s, f, a)
+        assert shared.eval(f, a) == want, (x, k)
 
 
 @pytest.mark.parametrize("width, n_max", [(2, 3), (3, 2)])

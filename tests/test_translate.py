@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,10 +21,12 @@ from lreckit.compile import (
 )
 from lreckit.errors import (
     ArityMismatch,
+    ComponentOutOfRange,
     MalformedInput,
     NestedLrec,
     SizeExceeded,
     TupleWidthUnsupported,
+    UnboundVariable,
 )
 from lreckit.lformula import (
     TwoSortedAssignment,
@@ -126,6 +130,26 @@ def test_resource_arity_checked():
     _, _, _, _, f = BATTERY[0]
     with pytest.raises(ArityMismatch):
         translate_lrec_once(f, 2, (1, 1), CACHE)
+
+
+@pytest.mark.parametrize("eq, edge, message", [
+    # a free domain parameter besides y1, y2 and x
+    ("(or (eq y1 y2) (eq y1 z))", "(atom E y1 y2)",
+     "unmapped domain variables: ['z']"),
+    # a number variable that is neither a kappa nor an iota
+    ("(eq y1 y2)", "(and (atom E y1 y2) (num-le j 1))",
+     "unassigned number variables: ['j']"),
+])
+def test_refuses_free_variables_it_cannot_map(eq, edge, message):
+    f = parse_lsexpr(f"(lrec (y1) (y2) (i) {eq} {edge} (num-le i 1) (x) (k))")
+    with pytest.raises(UnboundVariable, match=re.escape(message)):
+        translate_lrec_once(f, 2, (1,), CACHE)
+
+
+def test_refuses_a_resource_component_above_n():
+    _, _, _, _, f = BATTERY[0]
+    with pytest.raises(ComponentOutOfRange):
+        translate_lrec_once(f, 3, (4,), CACHE)
 
 
 @pytest.mark.parametrize("tup", [(True,), (2.0,), ("1",)])
