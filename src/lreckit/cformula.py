@@ -477,30 +477,29 @@ def _counter(n: int, k: int, b: int, passing: list) -> Callable[[int], int]:
 
 
 # What a node's step does; its second field is the step's constant:
-# _AND/_OR: none; _READ_AND/_READ_OR: per layout of the children, its
-# reader (None if the layout is the node's) and the children's positions;
-# _XOR: the int xored into the child's table; _CONST: the table (EQ
-# nodes and the COUNTs that n decides);
+# _AND/_OR: None if every child has the node's layout, else per layout of
+# the children its reader (None if the layout is the node's) and the
+# children's positions; _XOR: the int xored into the child's table;
+# _CONST: the table (BOOL and EQ nodes and the COUNTs that n decides);
 # _COUNT: the function from the child's table to the node's (`_counter`).
-_LEAF, _AND, _OR, _READ_AND, _READ_OR, _XOR, _CONST, _COUNT = range(8)
+_LEAF, _AND, _OR, _XOR, _CONST, _COUNT = range(6)
 
 
 def _step(shape: tuple, n: int) -> tuple:
     """The table operation at n of the nodes of one shape (`_shape`)."""
     kind, k = shape[0], shape[1]
     if kind == AND or kind == OR:
-        kept = shape[2]
+        code, kept = (_AND if kind == AND else _OR), shape[2]
         # one element: every table is one cell, the same over any variables
         if n == 1 or all(len(c) == k for c in kept):
-            return (_AND if kind == AND else _OR), None
+            return code, None
         # a read only moves and copies cells, so it commutes with AND and
         # OR: the children of one layout are combined first and read once
         groups = {}
         for i, c in enumerate(kept):
             groups.setdefault(c, []).append(i)
-        return ((_READ_AND if kind == AND else _READ_OR),
-                tuple([(None if len(c) == k else _reader(n, k, c), tuple(idx))
-                       for c, idx in groups.items()]))
+        return code, tuple([(None if len(c) == k else _reader(n, k, c),
+                             tuple(idx)) for c, idx in groups.items()])
     if kind == NOT:
         return _XOR, (1 << _cells(n, k)) - 1
     if kind == COUNT:
@@ -525,46 +524,41 @@ def _step(shape: tuple, n: int) -> tuple:
             return _CONST, (1 << _cells(n, 1)) - 1
         _cells(n, 2)
         return _CONST, sum(1 << i * (n + 1) for i in range(n))
+    if kind == BOOL:
+        return _CONST, int(shape[2])
+    _cells(n, k)
     return _LEAF, None
 
 
-def _layout(f: CFormula) -> tuple:
-    """What f's table operation depends on besides n: its kind and free
-    variables and its children's; for COUNT the bound variable, the mode
-    and the threshold too."""
+def _shape(f: CFormula) -> tuple:
+    """What f's table operation depends on besides n: its kind and the
+    number of its variables (for COUNT its child's); for AND and OR the
+    positions among them of each child's variables, for COUNT the
+    position of the bound variable (-1 if absent), the mode and the
+    threshold, for BOOL its value."""
     kind = f.kind
     if kind == AND or kind == OR:
-        return kind, f.fv, tuple([c.fv for c in f.children])
+        fv = f.fv
+        return kind, len(fv), tuple([tuple(map(fv.index, c.fv))
+                                     for c in f.children])
     if kind == COUNT:
-        return kind, f.children[0].fv, f.bound_var, f.mode, f.threshold
-    return kind, f.fv
-
-
-def _shape(layout: tuple) -> tuple:
-    """The layout with positions for variable names: the number of the
-    node's variables (for COUNT its child's), for AND and OR the
-    positions among them of each child's variables, for COUNT the
-    position of the bound variable (-1 if absent)."""
-    kind = layout[0]
-    if kind == AND or kind == OR:
-        fv = layout[1]
-        return kind, len(fv), tuple([tuple(map(fv.index, cv))
-                                     for cv in layout[2]])
-    if kind == COUNT:
-        cv, b = layout[1], layout[2]
-        return (kind, len(cv), cv.index(b) if b in cv else -1) + layout[3:]
-    return kind, len(layout[1])
+        cv, b = f.children[0].fv, f.bound_var
+        return (kind, len(cv), cv.index(b) if b in cv else -1, f.mode,
+                f.threshold)
+    if kind == BOOL:
+        return kind, 0, f.value
+    return kind, len(f.fv)
 
 
 class _Steps(dict):
     """The steps of the nodes of one shape, by n; each built on first use.
     Every node of the shape points here (`CFormula.steps`), and so does
-    its family: the shapes given out together, by layout and by shape,
-    and the tables of the nodes constant at n (`_plan`), by n."""
+    its family: the shapes given out together, by shape, and the tables
+    of the nodes constant at n (`_plan`), by n."""
 
     __slots__ = ("shape", "family")
 
-    def __init__(self, shape: tuple, family: tuple[dict, dict, dict]):
+    def __init__(self, shape: tuple, family: tuple[dict, dict]):
         self.shape, self.family = shape, family
 
     def __missing__(self, n: int) -> tuple:
@@ -583,30 +577,32 @@ def _fill(memo: dict, todo: Iterable[CFormula], n: int,
         if f in memo:
             continue
         code, arg = f.steps[n]
-        if code == _READ_AND:
-            tbl, children = -1, f.children
-            for read, group in arg:
-                t = -1
-                for i in group:
-                    t &= memo[children[i]]
-                tbl &= t if read is None else read(t)
+        if code == _AND:
+            tbl = -1
+            if arg is None:
+                for c in f.children:
+                    tbl &= memo[c]
+            else:
+                children = f.children
+                for read, group in arg:
+                    t = -1
+                    for i in group:
+                        t &= memo[children[i]]
+                    tbl &= t if read is None else read(t)
         elif code == _COUNT:
             tbl = arg(memo[f.children[0]])
-        elif code == _AND:
-            tbl = -1
-            for c in f.children:
-                tbl &= memo[c]
-        elif code == _READ_OR:
-            tbl, children = 0, f.children
-            for read, group in arg:
-                t = 0
-                for i in group:
-                    t |= memo[children[i]]
-                tbl |= t if read is None else read(t)
         elif code == _OR:
             tbl = 0
-            for c in f.children:
-                tbl |= memo[c]
+            if arg is None:
+                for c in f.children:
+                    tbl |= memo[c]
+            else:
+                children = f.children
+                for read, group in arg:
+                    t = 0
+                    for i in group:
+                        t |= memo[children[i]]
+                    tbl |= t if read is None else read(t)
         elif code == _XOR:
             tbl = memo[f.children[0]] ^ arg
         else:
@@ -614,55 +610,45 @@ def _fill(memo: dict, todo: Iterable[CFormula], n: int,
         memo[f] = tbl
 
 
-def _plan(root: CFormula, n: int, s: RelStructure) -> tuple:
+def _plan(root: CFormula, n: int) -> tuple:
     """The plan of root at n: its atoms, the tables that no structure of
     n elements changes and that root reads, and the other nodes root
-    needs, children first.
+    needs, children first. It reads no structure.
 
     The nodes of root are listed children first (`nodes`); a listed node
     without steps gets those of its shape in the family of the listed
     nodes that have steps (a new family if none has). A node is constant
-    at n when its step is _CONST, when it is a BOOL, when it is an AND
-    with an empty child, or when its children are all constant (its own
-    step then gives its table); the family keeps the constant tables by
-    n, so roots that share a constant sub-DAG fold it once. Every listed
-    node's step is built and every atom is checked against s, in the
-    listing's order, needed or not."""
+    at n when its step is _CONST, when it is an AND with an empty child,
+    or when its children are all constant (its own step then gives its
+    table); the family keeps the constant tables by n, so roots that
+    share a constant sub-DAG fold it once. Every listed node's step is
+    built, needed or not, so a table too large for n is refused here."""
     order = nodes(root)
     family = next((f.steps.family for f in order if f.steps is not None),
-                  ({}, {}, {}))
-    by_layout, by_shape, by_n = family
+                  ({}, {}))
+    by_shape, by_n = family
     const = by_n.setdefault(n, {})
     atoms = []
     for f in order:
         if f in const:
             continue
         if f.steps is None:
-            layout = _layout(f)
-            steps = by_layout.get(layout)
+            shape = _shape(f)
+            steps = by_shape.get(shape)
             if steps is None:
-                shape = _shape(layout)
-                steps = by_shape.get(shape)
-                if steps is None:
-                    steps = by_shape[shape] = _Steps(shape, family)
-                by_layout[layout] = steps
+                steps = by_shape[shape] = _Steps(shape, family)
             f.steps = steps
         code, arg = f.steps[n]
         if code == _CONST:
             const[f] = arg
         elif code == _LEAF:
-            if f.kind == BOOL:
-                const[f] = int(f.value)
-            else:
-                _check_atom(f, s)
-                _cells(n, len(f.fv))
-                atoms.append(f)
+            atoms.append(f)
         elif not const.keys().isdisjoint(f.children):
             # a node with no constant child is not constant
             kids = list(map(const.get, f.children))
             if None not in kids:
                 _fill(const, (f,), n, None)
-            elif 0 in kids and (code == _AND or code == _READ_AND):
+            elif 0 in kids and code == _AND:
                 const[f] = 0
     # from the root down, stopping at constant nodes
     needed, loads, todo = {root}, {}, []
@@ -695,10 +681,11 @@ class TableEvaluator:
     on those, a count whose threshold exceeds the domain size is
     constant, and so is a conjunction over an empty one. So the first
     evaluation of a root at each n builds its plan (`_plan`), kept on the
-    root: every later evaluation at n checks the plan's atoms against its
-    structure, loads the constant tables the root reads, and evaluates
-    only the other nodes it needs. A plan skips nodes but no refusal:
-    every step is built and every atom is checked, needed or not.
+    root; a plan depends on the root and n alone. Every evaluation at n,
+    the first too, checks the plan's atoms against its structure, loads
+    the constant tables the root reads, and evaluates only the other
+    nodes it needs. A plan skips nodes but no refusal: every step is
+    built and every atom is checked, needed or not.
     """
 
     def __init__(self, structure: RelStructure):
@@ -706,8 +693,8 @@ class TableEvaluator:
         self._memo: dict[CFormula, int] = {}
 
     def _leaf(self, f: CFormula) -> int:
-        """The table of an ATOM node, checked by its plan: one cell per
-        assignment of its distinct variables, fv."""
+        """The table of an ATOM node, checked against the structure: one
+        cell per assignment of its distinct variables, fv."""
         n = self.structure.n
         fv, args = f.fv, f.vars
         cells = n ** len(fv)
@@ -733,7 +720,7 @@ class TableEvaluator:
             plans = root.plans = {}
         plan = plans.get(n)
         if plan is None:
-            plan = plans[n] = _plan(root, n, s)
+            plan = plans[n] = _plan(root, n)
         atoms, loads, todo = plan
         for f in atoms:
             _check_atom(f, s)

@@ -495,7 +495,7 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
         hit = psi_memo.get(key)
         if hit is None:
             hit = eliminate_numbers(
-                sub, {**dict(zip((y1, y2), dom)), xvar: QUERY_VAR},
+                sub, {xvar: QUERY_VAR, **dict(zip((y1, y2), dom))},
                 {**kappa_map, **dict(zip(f.iotas, ivals))}, n, itn)
             psi_memo[key] = hit
         return hit

@@ -200,10 +200,10 @@ class LEvaluator:
         """Refuse top before any quotient is built if its lrec nodes could
         take more than MAX_QUOTIENT_WORK evaluations in all.
 
-        An lrec node g builds one quotient, of n^(2k) + n^k (n+1)^w equality,
-        edge and label evaluations, per assignment of g.reads that top's
-        assignment leaves open: of those variables that are not free in top
-        or are bound again on the way to g."""
+        An lrec node g builds one quotient, of 2 n^(2k) equality and edge
+        and n^k (n+1)^w label evaluations, per assignment of g.reads that
+        top's assignment leaves open: of those variables that are not free
+        in top or are bound again on the way to g."""
         n = self.structure.n
         total = 0
         stack = [(top, top.dom_free, top.num_free)]
@@ -218,7 +218,7 @@ class LEvaluator:
                     # every class label would enumerate (n+1)**w tuples
                     raise SizeExceeded(
                         f"iota width {w} exceeds {MAX_NUM_TUPLE}")
-                total += ((n ** (2 * k) + n ** k * (n + 1) ** w)
+                total += ((2 * n ** (2 * k) + n ** k * (n + 1) ** w)
                           * n ** len(g.reads[0] - dom)
                           * (n + 1) ** len(g.reads[1] - num))
             stack += [(c, dom - set(bound_dom), num - set(bound_num))

@@ -60,12 +60,14 @@ def _rename(data, old: str, new: str):
 
 
 @st.composite
-def equivalences(draw, depth: int = 2) -> list:
+def equivalences(draw, depth: int = 2, params=("x",)) -> list:
+    """An equivalence over y1 and y2 whose unary test may read the domain
+    parameters `params`."""
     identity = ["eq", "y1", "y2"]
     shape = draw(st.sampled_from(("identity", "agree", "agree or identity")))
     if shape == "identity":
         return identity
-    test = _form(draw, [TEST_VAR, "x"], ["k"], depth)
+    test = _form(draw, [TEST_VAR, *params], ["k"], depth)
     a, b = _rename(test, TEST_VAR, "y1"), _rename(test, TEST_VAR, "y2")
     agree = ["or", ["and", a, b], ["and", ["not", a], ["not", b]]]
     return agree if shape == "agree" else ["or", identity, agree]
@@ -73,13 +75,17 @@ def equivalences(draw, depth: int = 2) -> list:
 
 @st.composite
 def lrec_formulas(draw, depth: int = 2) -> LFormula:
-    """`(lrec (y1) (y2) (i) eq edge card (x) (k))` with one resource
-    variable k."""
-    eq = draw(equivalences(depth))
-    edge = _form(draw, ["y1", "y2", "x"], ["k"], depth)
-    card = _form(draw, ["y1", "x"], ["i", "k"], depth)
+    """`(lrec (y1) (y2) (i) eq edge card (q) (k))` with one resource
+    variable k and the query q named x, y1 or y2. The query lies outside
+    the binder, so the subformulas read a query named y1 or y2 as the
+    bound variable; the equality formula reads the query only when it is
+    x, as a captured one would stop it being an equivalence."""
+    query = draw(st.sampled_from(("x", "y1", "y2")))
+    eq = draw(equivalences(depth, ("x",) if query == "x" else ()))
+    edge = _form(draw, ["y1", "y2", query], ["k"], depth)
+    card = _form(draw, ["y1", query], ["i", "k"], depth)
     return lformula_from_data(
-        ["lrec", ["y1"], ["y2"], ["i"], eq, edge, card, ["x"], ["k"]])
+        ["lrec", ["y1"], ["y2"], ["i"], eq, edge, card, [query], ["k"]])
 
 
 @st.composite

@@ -214,6 +214,47 @@ def test_a_kept_plan_checks_the_atoms_of_every_structure(symbols, error):
             TableEvaluator(other).eval(root, {"x": 0, "y": 0})
 
 
+def test_a_plan_is_kept_when_its_first_structure_is_refused():
+    # a plan reads no structure: it is kept although the structure it was
+    # first built for lacks P, and it serves the next structure at n
+    itn = Interner()
+    root = mk_or([mk_atom("P", ("x",), itn),
+                  mk_atom("E", ("x", "y"), itn)], itn)
+    lacks_p = RelStructure(Vocabulary((("E", 2),)), 2, {})
+    with pytest.raises(UnknownSymbol):
+        TableEvaluator(lacks_p).eval(root, {"x": 0, "y": 0})
+    plan = root.plans[2]
+    assert_cells_match(TableEvaluator(_random_e_and_r(2)), root)
+    assert root.plans[2] is plan
+
+
+def test_a_table_too_large_is_refused_before_an_unknown_atom():
+    # the plan builds every step before any atom meets the structure, so
+    # the 60**5-cell conjunction is refused although Zed comes first
+    itn = Interner()
+    root = parse_sexpr(
+        "(and (atom Zed x) (count >= 1 a (count >= 1 b (count >= 1 c"
+        " (count >= 1 d (count >= 1 e (and (atom E a b) (atom E c d)"
+        " (eq e a))))))))", itn)
+    sixty = RelStructure(Vocabulary((("E", 2),)), 60, {})
+    with pytest.raises(SizeExceeded):
+        TableEvaluator(sixty).eval(root, {"x": 0})
+
+
+def test_nodes_of_one_shape_share_their_steps():
+    # a shape reads positions, not names: E(x, y) & P(y) and E(u, w) & P(w)
+    # have one; a count binds x or u at position 0, another y at 1
+    itn = Interner()
+    f = parse_sexpr("(and (atom E x y) (atom P y))", itn)
+    g = parse_sexpr("(and (atom E u w) (atom P w))", itn)
+    counts = [mk_count(">=", 1, v, h, itn) for v, h in (("x", f), ("u", g),
+                                                         ("y", f))]
+    assert_cells_match(TableEvaluator(_random_e_and_r(3)), mk_or(counts, itn))
+    assert f.steps is g.steps
+    assert counts[0].steps is counts[1].steps
+    assert counts[2].steps is not counts[0].steps
+
+
 def _random_e_and_r(n):
     """A structure on n elements with seeded random relations E and R."""
     rng = random.Random(n)

@@ -208,8 +208,8 @@ NINE_IOTAS = ["lrec-eval", "three.json", "--sexpr",
               "(lrec (y1) (y2) (" + " ".join(["i"] * 9) + ") (eq y1 y2)"
               " (atom E y1 y2) (bool f) (x) (k))",
               "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
-# refused before any evaluation: 40**4 pairs of 2-tuples, and 6 * 7**7
-# label evaluations; both above MAX_QUOTIENT_WORK
+# refused before any evaluation: 2 * 40**4 evaluations on the pairs of
+# 2-tuples, and 6 * 7**7 label evaluations; both above MAX_QUOTIENT_WORK
 WIDE_QUOTIENT = ["lrec-eval", "forty.json", "--sexpr",
                  "(lrec (y1 z1) (y2 z2) (i) (eq y1 y2) (atom E y1 y2)"
                  " (bool f) (x z) (k))",
@@ -237,14 +237,14 @@ def rebound_x(eq):
             "--assign", '{"dom": {"x": 0}, "num": {"k": 1}}']
 
 
-# The quotients (3,240 and 68,840 evaluations) read neither the query
+# The quotients (4,840 and 70,440 evaluations) read neither the query
 # tuple nor the resource, so each is built once: y2 and x only pick the
 # class that is queried.
 NESTED_RING = nested_ring("(eq a b)")
 REBOUND_X = rebound_x("(eq y1 y2)")
 # Equality formulas that read y2 and x: the inner quotient is built for each
-# of the 40 values of y2 (3,240 + 40 * 68,840 evaluations), and the other
-# for each of the 40 values of x (40 * 68,840), both above MAX_QUOTIENT_WORK.
+# of the 40 values of y2 (4,840 + 40 * 70,440 evaluations), and the other
+# for each of the 40 values of x (40 * 70,440), both above MAX_QUOTIENT_WORK.
 NESTED_RING_READS_Y2 = nested_ring(
     "(or (eq a b) (and (atom E a y2) (atom E b y2)))")
 REBOUND_X_READS_X = rebound_x(

@@ -12,8 +12,10 @@ from lreckit.errors import (
     IdOutOfRange,
     MalformedInput,
     RangeViolation,
+    SizeExceeded,
     UnboundVariable,
 )
+from lreckit import lformula
 from lreckit.lformula import (
     LEvaluator,
     TwoSortedAssignment,
@@ -222,13 +224,34 @@ def test_lrec_rereads_what_only_its_equality_formula_reads(text):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(f=lrec_formulas(), s=structures())
 def test_one_evaluator_answers_every_query_from_its_quotients(f, s):
-    # the generated subformulas may read x and k; one evaluator asked every
-    # x and k agrees with a fresh evaluator per assignment
+    # the generated subformulas may read the query and k; one evaluator
+    # asked every query and k agrees with a fresh evaluator per assignment
     shared = LEvaluator(s)
     for x, k in itertools.product(range(s.n), range(s.n + 1)):
-        a = TwoSortedAssignment({"x": x}, {"k": k})
+        a = TwoSortedAssignment({f.xs[0]: x}, {"k": k})
         want = eval_lrec(s, f, a)
         assert shared.eval(f, a) == want, (x, k)
+
+
+def test_the_work_bound_counts_every_evaluation_of_a_quotient(monkeypatch):
+    # the equality and the edge formula are each evaluated on all 40**2
+    # pairs, the label formula on 40 * 41**2 (element, iota tuple) pairs
+    f = parse_lsexpr("(lrec (y1) (y2) (i j) (eq y1 y2) (atom E y1 y2)"
+                     " (bool f) (x) (k))")
+    s = struct(40, [(v, (v + 1) % 40) for v in range(40)])
+    a = TwoSortedAssignment({"x": 0}, {"k": 1})
+    monkeypatch.setattr(lformula, "MAX_QUOTIENT_WORK", 70_439)
+    with pytest.raises(SizeExceeded, match="70440"):
+        eval_lrec(s, f, a)
+    monkeypatch.setattr(lformula, "MAX_QUOTIENT_WORK", 70_440)
+    calls, evaluate = [], LEvaluator._eval
+
+    def counted(self, g, b):
+        calls.append(g in f.children)
+        return evaluate(self, g, b)
+    monkeypatch.setattr(LEvaluator, "_eval", counted)
+    assert not eval_lrec(s, f, a)
+    assert sum(calls) == 70_440
 
 
 @pytest.mark.parametrize("width, n_max", [(2, 3), (3, 2)])
