@@ -567,12 +567,26 @@ class _Steps(dict):
         return step
 
 
+class _Applied(dict):
+    """The result of each (reader or counter, table) pair, computed on
+    first use: an operation applied again to a table of the same value is
+    not run again."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> int:
+        op, t = key
+        tbl = self[key] = op(t)
+        return tbl
+
+
 def _fill(memo: dict, todo: Iterable[CFormula], n: int,
-          leaf: Callable[[CFormula], int] | None) -> None:
+          leaf: Callable[[CFormula], int] | None, values: _Applied) -> None:
     """Put in memo the table at n of each node of todo that it lacks, in
     turn: a node's children are in memo or before it in todo. `leaf`
     gives the table of an ATOM node. No node of todo has a _CONST step:
-    `_plan` keeps those among its constant tables."""
+    `_plan` keeps those among its constant tables. Child readers and COUNT
+    counters are applied through `values`."""
     for f in todo:
         if f in memo:
             continue
@@ -588,9 +602,9 @@ def _fill(memo: dict, todo: Iterable[CFormula], n: int,
                     t = -1
                     for i in group:
                         t &= memo[children[i]]
-                    tbl &= t if read is None else read(t)
+                    tbl &= t if read is None else values[read, t]
         elif code == _COUNT:
-            tbl = arg(memo[f.children[0]])
+            tbl = values[arg, memo[f.children[0]]]
         elif code == _OR:
             tbl = 0
             if arg is None:
@@ -602,7 +616,7 @@ def _fill(memo: dict, todo: Iterable[CFormula], n: int,
                     t = 0
                     for i in group:
                         t |= memo[children[i]]
-                    tbl |= t if read is None else read(t)
+                    tbl |= t if read is None else values[read, t]
         elif code == _XOR:
             tbl = memo[f.children[0]] ^ arg
         else:
@@ -647,7 +661,7 @@ def _plan(root: CFormula, n: int) -> tuple:
             # a node with no constant child is not constant
             kids = list(map(const.get, f.children))
             if None not in kids:
-                _fill(const, (f,), n, None)
+                _fill(const, (f,), n, None, _Applied())
             elif 0 in kids and code == _AND:
                 const[f] = 0
     # from the root down, stopping at constant nodes
@@ -675,7 +689,9 @@ class TableEvaluator:
     once; sharing across queries (different assignments, different roots
     over a common sub-DAG) is free. What a node's step needs besides its
     children's tables is built once per shape and n (`_Steps`), so an
-    evaluator pays only for the int operations and the atoms.
+    evaluator pays only for the int operations and the atoms. A reader or
+    counter applied again to a table of the same value returns the result
+    the evaluator stored the first time (`_Applied`); the store dies with it.
 
     A formula built for n elements must decide smaller structures too;
     on those, a count whose threshold exceeds the domain size is
@@ -691,6 +707,7 @@ class TableEvaluator:
     def __init__(self, structure: RelStructure):
         self.structure = structure
         self._memo: dict[CFormula, int] = {}
+        self._values = _Applied()
 
     def _leaf(self, f: CFormula) -> int:
         """The table of an ATOM node, checked against the structure: one
@@ -725,7 +742,7 @@ class TableEvaluator:
         for f in atoms:
             _check_atom(f, s)
         memo.update(loads)
-        _fill(memo, todo, n, self._leaf)
+        _fill(memo, todo, n, self._leaf, self._values)
         return memo[root]
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:

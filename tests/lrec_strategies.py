@@ -25,7 +25,8 @@ def _form(draw, doms: list[str], nums: list[str], depth: int) -> list:
     inner binder never shadows an outer one."""
     kinds = ["atom", "eq", "num"]
     if depth:
-        kinds += ["not", "and", "or", "exists", "count-dom", "num-exists"]
+        kinds += ["not", "and", "or", "exists", "count-dom", "num-exists",
+                  "count-num"]
     kind = draw(st.sampled_from(kinds))
     dom = st.sampled_from(doms)
     term = st.sampled_from([*nums, *NUM_CONSTANTS])
@@ -43,9 +44,12 @@ def _form(draw, doms: list[str], nums: list[str], depth: int) -> list:
     if kind in ("and", "or"):
         return [kind, _form(draw, doms, nums, depth - 1),
                 _form(draw, doms, nums, depth - 1)]
-    if kind == "num-exists":
+    if kind in ("num-exists", "count-num"):
         j = f"j{depth}"
-        return [kind, j, _form(draw, doms, [*nums, j], depth - 1)]
+        body = _form(draw, doms, [*nums, j], depth - 1)
+        if kind == "num-exists":
+            return [kind, j, body]
+        return [kind, j, body, draw(term)]
     u = f"u{depth}"
     body = _form(draw, [*doms, u], nums, depth - 1)
     if kind == "exists":

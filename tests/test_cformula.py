@@ -303,6 +303,62 @@ def test_children_of_one_layout_are_read_together(n):
         assert_cells_match(ev, mk(kids, itn))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_counts_over_one_child_in_one_evaluator_match(n):
+    # every COUNT below applies its own counter to the one table of R:
+    # an evaluator that reused a result by the table alone would give
+    # each the first one's table
+    itn = Interner()
+    child = mk_atom("R", ("a", "b", "c"), itn)
+    ev = TableEvaluator(_random_e_and_r(n))
+    for bound in "abc":
+        for mode in (">=", "=", "<="):
+            for threshold in range(n + 1):
+                assert_cells_match(
+                    ev, mk_count(mode, threshold, bound, child, itn))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reads_of_one_child_into_other_layouts_in_one_evaluator_match(n):
+    # E(b, c) lies at positions (1, 2) under a node over (a, b, c), (0, 1)
+    # under one over (b, c, d) and (0, 2) under one over (b, bb, c): three
+    # readers of one table in one evaluator, for AND and again for OR
+    itn = Interner()
+    e = mk_atom("E", ("b", "c"), itn)
+    others = [mk_atom("P", (v,), itn) for v in ("a", "d", "bb")]
+    ev = TableEvaluator(_random_e_and_r(n))
+    for mk in (mk_and, mk_or):
+        for other in others:
+            assert_cells_match(ev, mk([e, other], itn))
+
+
+def _kept_entries(root):
+    """The entries each node of root and each of their steps records
+    hold: the node's plans, and its steps by n with their family's shapes
+    and constant tables."""
+    kept = {}
+    for f in nodes(root):
+        by_shape, by_n = f.steps.family
+        kept[f] = (len(f.plans or ()), len(f.steps), len(by_shape),
+                   {n: len(c) for n, c in by_n.items()})
+    return kept
+
+
+def test_a_second_evaluator_at_one_n_keeps_nothing_new():
+    # what an evaluator stores of the tables it reads goes with it: a
+    # second structure of the same size adds no entry to a node or a
+    # steps record
+    itn = Interner()
+    root = parse_sexpr(
+        "(or (count = 1 y (and (atom E x y) (atom P y)))"
+        " (count >= 2 z (and (atom R x y z) (not (atom E z y)))))", itn)
+    first = RelStructure(VOC, 3, {"E": {(0, 1), (1, 2)}, "P": {(1,)}})
+    assert_cells_match(TableEvaluator(first), root)
+    kept = _kept_entries(root)
+    assert_cells_match(TableEvaluator(_random_e_and_r(3)), root)
+    assert _kept_entries(root) == kept
+
+
 def test_evaluation_keeps_no_state_in_the_module():
     def sizes(values, path):
         # every dict, list and set in the module, also inside tuples

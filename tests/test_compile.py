@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import FIG1_IN_X, FIG1_NOT_IN_X, fig1_instance
+from helpers import FIG1_IN_X, FIG1_NOT_IN_X, fig1_instance, quiet_condition
 from lreckit.cformula import Interner, TableEvaluator, dag_size, nodes, nvars, qdepth
 from lreckit.compile import (
     CompileParams,
@@ -8,9 +8,11 @@ from lreckit.compile import (
     check_against_oracle,
     compile_x_formula,
     formula_stats,
+    psi_t0,
 )
 from lreckit.corpus import generate_corpus
 from lreckit.errors import MalformedInput, RangeViolation
+from lreckit.structures import DiGraph
 from lreckit.xfix import XInstance, compute_X, encode_tau_n
 
 
@@ -53,6 +55,24 @@ def test_random_instances_agree_with_oracle():
     checked, mismatches = check_against_oracle(
         CompileParams(4, 1), generate_corpus(31, 4, 12), FormulaCache())
     assert checked > 0 and mismatches == []
+
+
+def test_a_witness_needs_five_recursion_levels():
+    # criterion 2 passes with the budget cut to 4 levels; here 4 levels
+    # say (2, 5) lies in X, and it does not: a compiler whose budget fell
+    # below 5 fails this test. compile_x_formula has H = 14 at n = 4
+    g = DiGraph(4, frozenset({(1, 3), (2, 0), (2, 1), (3, 0)}), root=2)
+    c = quiet_condition(g, {0: {0, 3, 4}, 1: {0, 2, 4}, 2: {0, 2, 4}, 3: {1}})
+    ev = TableEvaluator(encode_tau_n(g, c, 4))
+    cache = FormulaCache()
+    params = CompileParams(4, 1)
+    assert params.H == 14
+    want = compute_X(XInstance(g, c), 2, 5)
+    assert want is False
+    assert ev.eval(psi_t0(4, 4, 5, "x", cache=cache), {"x": 2}) != want
+    for f in (psi_t0(4, 5, 5, "x", cache=cache),
+              compile_x_formula(params, 5, cache=cache)):
+        assert ev.eval(f, {"x": 2}) == want
 
 
 @pytest.mark.parametrize("n, r, i, dag, qd, nv, interned", [
