@@ -220,16 +220,10 @@ def mk_count(mode: str, threshold: int, bound_var: str, child: CFormula,
         raise MalformedInput(f"unknown counting mode {mode!r}")
     if threshold < 0 or threshold > MAX_THRESHOLD:
         raise RangeViolation(f"threshold {threshold} out of range")
-    # Folds valid on every structure (the witness count of a constant-false
-    # body is 0; a >=0 bound always holds).
-    if mode == GE and threshold == 0:
-        return mk_bool(True, interner)
-    if child.kind == BOOL and not child.value:
-        if mode == GE:
-            return mk_bool(False, interner)
-        if mode == LE:
-            return mk_bool(True, interner)
-        return mk_bool(threshold == 0, interner)
+    # Folds valid on every structure (a >=0 bound always holds; the witness
+    # count of a constant-false body is 0).
+    if mode == GE and threshold == 0 or child.kind == BOOL and not child.value:
+        return mk_bool(_compare(0, mode, threshold), interner)
     return interner.intern(
         CFormula(COUNT, mode=mode, threshold=threshold,
                  bound_var=bound_var, children=(child,))
@@ -412,8 +406,6 @@ def _reader(n: int, k: int, kept: tuple) -> Callable[[int], int]:
             inner = n ** sum(q > p for q in kept)
             moves.append((_gaps(n ** p, inner, n * inner)[1],
                           _repeat(1, inner, n)))
-    if len(moves) == 1 and not moves[0][0]:
-        return moves[0][1].__mul__
 
     def read(t):
         for steps, repeat in moves:
@@ -428,47 +420,30 @@ def _reader(n: int, k: int, kept: tuple) -> Callable[[int], int]:
 def _counter(n: int, k: int, b: int, passing: list) -> Callable[[int], int]:
     """The function from the table of a COUNT node's child over k
     variables, the bound one at position b, to the node's table, for
-    n > 1 and the witness counts that pass, `passing`: an interval of
-    [0, n], neither empty nor all of it."""
+    n > 1 and `passing`, the witness counts that pass."""
     inner = n ** (k - 1 - b)
     sel, steps = _gaps(n ** b, inner, n * inner)
     steps.reverse()  # they bring the blocks of sel together
     # slice d, the cells of t where the bound variable is d, lies on the
-    # cells of sel, where it is 0, in t >> d*inner
+    # cells of sel, where it is 0, in t >> d*inner; the slices are added
+    # up as bit-sliced counters
     shifts = range(inner, n * inner, inner)
-    lo, hi = passing[0], passing[-1]
-    # some witness, none, every one or not every one: one OR or AND over
-    # the slices, complemented or not; other intervals add the slices up
-    # as bit-sliced counters
-    some = (lo, hi) in ((1, n), (0, 0))
-    every = (lo, hi) in ((n, n), (0, n - 1))
-    flip = sel if lo == 0 else 0
     width = n.bit_length()  # the bits of a witness count
 
     def count(t):
-        if some or every:
-            x = t
-            if some:
-                for shift in shifts:
-                    x |= t >> shift
-            else:
-                for shift in shifts:
-                    x &= t >> shift
-            tbl = x & sel ^ flip
-        else:
-            planes = [t]  # planes[i]: bit i of every cell's witness count
-            for shift in shifts:
-                carry = t >> shift
-                for i, plane in enumerate(planes):
-                    planes[i], carry = plane ^ carry, plane & carry
-                if len(planes) < width:
-                    planes.append(carry)
-            tbl = 0
-            for c in passing:
-                hit = sel
-                for i, plane in enumerate(planes):
-                    hit &= plane if c >> i & 1 else ~plane
-                tbl |= hit
+        planes = [t]  # planes[i]: bit i of every cell's witness count
+        for shift in shifts:
+            carry = t >> shift
+            for i, plane in enumerate(planes):
+                planes[i], carry = plane ^ carry, plane & carry
+            if len(planes) < width:
+                planes.append(carry)
+        tbl = 0
+        for c in passing:
+            hit = sel
+            for i, plane in enumerate(planes):
+                hit &= plane if c >> i & 1 else ~plane
+            tbl |= hit
         for mask, shift in steps:
             x = tbl >> shift & mask
             tbl = tbl ^ x << shift | x

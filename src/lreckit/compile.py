@@ -154,8 +154,6 @@ def _family(build):
 
 def deg_formula(d: int, target: str, aux: str, interner: Interner) -> CFormula:
     """In-degree test: exactly d elements with an edge into target."""
-    if d < 0:
-        raise RangeViolation(f"degree {d} out of range")
     if aux == target:
         raise MalformedInput("aux variable must differ from target")
     return mk_count(EQN, d, aux, mk_atom("E", (aux, target), interner), interner)
@@ -364,15 +362,26 @@ def eliminate_numbers(lf: LFormula, dom_map: dict[str, str],
             return mk_or([go(c, dmap, nmap, depth) for c in f.children], itn)
         if f.kind == LAND:
             return mk_and([go(c, dmap, nmap, depth) for c in f.children], itn)
-        if f.kind == LEXISTS:
+        if f.kind == LEXISTS or f.kind == COUNTDOM:
+            mode, t = ((GE, 1) if f.kind == LEXISTS
+                       else (EQN, term_value(f.kappa, nmap, n)))
             b = f"b{depth}"
-            return mk_exists(
-                b, go(f.children[0], {**dmap, f.bound_var: b}, nmap, depth + 1),
+            body = go(f.children[0], {**dmap, f.bound_var: b}, nmap, depth + 1)
+            return mk_count(mode, t, b, body, itn)
+        if f.kind == NUMEXISTS or f.kind == COUNTNUM:
+            if f.kind == COUNTNUM:  # a bad term is refused before the body
+                target = term_value(f.kappa, nmap, n)
+            instances = [
+                go(f.children[0], dmap, {**nmap, f.bound_var: v}, depth)
+                for v in range(n + 1)
+            ]
+            if f.kind == NUMEXISTS:
+                return mk_or(instances, itn)
+            return mk_or([
+                mk_and([g if v in chosen else mk_not(g, itn)
+                        for v, g in enumerate(instances)], itn)
+                for chosen in itertools.combinations(range(n + 1), target)],
                 itn)
-        if f.kind == NUMEXISTS:
-            return mk_or(
-                [go(f.children[0], dmap, {**nmap, f.bound_var: v}, depth)
-                 for v in range(n + 1)], itn)
         if f.kind == NUMLE:
             return mk_bool(term_value(f.terms[0], nmap, n)
                            <= term_value(f.terms[1], nmap, n), itn)
@@ -382,24 +391,6 @@ def eliminate_numbers(lf: LFormula, dom_map: dict[str, str],
         if f.kind == NUMEQ:
             return mk_bool(term_value(f.terms[0], nmap, n)
                            == term_value(f.terms[1], nmap, n), itn)
-        if f.kind == COUNTDOM:
-            b = f"b{depth}"
-            target = term_value(f.kappa, nmap, n)
-            body = go(f.children[0], {**dmap, f.bound_var: b}, nmap, depth + 1)
-            return mk_count(EQN, target, b, body, itn)
-        if f.kind == COUNTNUM:
-            target = term_value(f.kappa, nmap, n)
-            instances = [
-                go(f.children[0], dmap, {**nmap, f.bound_var: v}, depth)
-                for v in range(n + 1)
-            ]
-            picks = []
-            for chosen in itertools.combinations(range(n + 1), target):
-                chosen = set(chosen)
-                picks.append(mk_and(
-                    [instances[v] if v in chosen else mk_not(instances[v], itn)
-                     for v in range(n + 1)], itn))
-            return mk_or(picks, itn)
         if f.kind == LREC:
             raise NestedLrec("number elimination requires recursion-free input")
         raise AssertionError(f.kind)

@@ -598,6 +598,17 @@ def test_boolean_simplifications():
     assert mk_count(">=", 0, "x", p, itn) is mk_bool(True, itn)
 
 
+@pytest.mark.parametrize("mode", [">=", "=", "<="])
+@pytest.mark.parametrize("threshold", range(4))
+def test_count_of_false_folds_by_its_witness_count_zero(mode, threshold):
+    # no witness satisfies a false body: the count passes exactly when 0
+    # passes the comparison
+    itn = Interner()
+    f = mk_count(mode, threshold, "x", mk_bool(False, itn), itn)
+    holds = mode == "<=" or threshold == 0
+    assert f is mk_bool(holds, itn)
+
+
 def test_implies():
     itn = Interner()
     s = RelStructure(VOC, 2, {"E": frozenset(), "P": frozenset({(0,), (1,)})})

@@ -644,6 +644,131 @@ def test_cli_error_contract_holds_for_generated_inputs(
         assert keys - {"warnings"} == {"error", "message"}
 
 
+def _digraph(n):
+    # vertex v > 0 has a parent below it, so the graph is a DAG rooted at 0
+    # until the extra edges, in either direction, add cycles
+    ids = st.integers(0, n - 1)
+    return st.builds(
+        lambda parents, extra: {"n": n, "rels": {"E": sorted(
+            {*((p, v) for v, p in enumerate(parents, 1)), *extra})}},
+        st.tuples(*[st.integers(0, v - 1) for v in range(1, n)]),
+        st.lists(st.tuples(ids, ids), max_size=3))
+
+
+def _rooted(args):
+    doc, root = args
+    if root is not None:
+        doc["root"] = root
+    return doc
+
+
+GRAPH_DOCS = st.tuples(
+    st.tuples(st.integers(1, 5).flatmap(_digraph),
+              st.one_of(st.just(0), st.just(0), st.none(), st.integers(-1, 6),
+                        JSON),
+              ).map(_rooted),
+    st.sampled_from([None] * 6 + ["n", "rels", "E", "doc"]),
+    JSON,
+).map(_retyped)
+
+_IDS = st.integers(0, 4).map(str)
+_VERTEX_KEYS = st.one_of(_IDS, _IDS, st.integers(-1, 6).map(str),
+                         st.sampled_from(["01", "+1", " 1", "x"]))
+_COUNTS = st.lists(st.integers(-1, 4), max_size=4)
+_CONDITIONS = st.dictionaries(_VERTEX_KEYS, st.one_of(_COUNTS, _COUNTS, JSON),
+                              max_size=4).map(lambda c: {"C": c})
+CONDITION_DOCS = st.one_of(_CONDITIONS, _CONDITIONS, JSON)
+
+
+def _ints(values):
+    # an integer option's text: one of values, or one time in ten no int
+    return st.tuples(values, st.sampled_from(
+        [None] * 36 + ["x", "", "1.5", "0x3"])).map(
+        lambda t: str(t[0]) if t[1] is None else t[1])
+
+
+def _flags(given, **values):
+    # integer options as "--name=text", each always given or only sometimes
+    texts = {name.replace("_", "-"): _ints(v) for name, v in values.items()}
+    drawn = (st.fixed_dictionaries(texts) if given
+             else st.fixed_dictionaries({}, optional=texts))
+    return drawn.map(lambda d: [f"--{name}={text}"
+                                for name, text in d.items()])
+
+
+# compile: the valid (n, i) print at most 40 kB (--n 2 --i 2 prints 1 MB);
+# the others are refused before a node is built
+COMPILE_SIZES = st.one_of(
+    _flags(True, n=st.just(1), i=st.sampled_from([1, 2])),
+    _flags(True, n=st.just(2), i=st.just(1)),
+    _flags(True, n=st.integers(-2, 0), i=st.integers(-1, 3),
+           r=st.integers(1, 2)),
+    _flags(True, n=st.integers(1, 12), i=st.integers(-2, 0),
+           r=st.integers(1, 2)),
+    st.tuples(st.integers(1, 12), st.integers(1, 2), st.integers(1, 3)).map(
+        lambda t: [f"--n={t[0]}", f"--r={t[1]}",
+                   f"--i={(t[0] + 1) ** t[1] + t[2]}"]),
+    _flags(True, n=st.integers(1, 3), i=st.integers(1, 3),
+           r=st.sampled_from([-1, 0, 3])),
+)
+# verify: --n <= 3 and --count <= 3 at r = 1, or refused before compiling
+VERIFY_SIZES = st.one_of(
+    _flags(True, n=st.integers(1, 3), count=st.integers(1, 3),
+           seed=st.integers(-1, 5)),
+    _flags(True, n=st.integers(1, 3), count=st.integers(1, 3),
+           r=st.sampled_from([-1, 0, 3])),
+    _flags(True, n=st.integers(-2, 0), count=st.integers(1, 3)),
+    _flags(True, n=st.integers(1, 3), count=st.sampled_from([-1, 0, 10_001])),
+)
+SUBCOMMAND_OPTIONS = {
+    "oracle": _flags(False, max_i=st.integers(-2, 12)),
+    "compile": COMPILE_SIZES,
+    "verify": VERIFY_SIZES,
+    "decompose": st.just([]),
+    "stats": st.just([]),
+    "wl": _flags(False, k=st.integers(-1, 4), max_rounds=st.integers(-2, 4)),
+    "interval": st.just([]),
+}
+# the inputs each subcommand reads from files, besides its options
+SUBCOMMAND_FILES = {
+    "oracle": [("g.json", GRAPH_DOCS, ""), ("c.json", CONDITION_DOCS,
+                                            "--cond=")],
+    "decompose": [("g.json", GRAPH_DOCS, "")],
+    "stats": [("g.json", GRAPH_DOCS, "")],
+    "wl": [("g.json", GRAPH_DOCS, ""), ("h.json", GRAPH_DOCS, "")],
+    "interval": [("g.json", GRAPH_DOCS, "")],
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(command=st.sampled_from(sorted(SUBCOMMAND_OPTIONS)), data=st.data())
+def test_cli_error_contract_holds_for_every_subcommand(
+        command, data, tmp_path_factory):
+    # every size stays under its cap, so a run that escapes one does not
+    # hang here; about half the drawn commands are refused
+    base = tmp_path_factory.getbasetemp()
+    argv = [command]
+    for name, docs, prefix in SUBCOMMAND_FILES.get(command, []):
+        path = base / name
+        if data.draw(st.sampled_from([True] * 9 + [False])):
+            path.write_text(json.dumps(data.draw(docs)))
+        else:  # a file that does not exist
+            path = base / "missing.json"
+        argv.append(prefix + str(path))
+    argv += data.draw(SUBCOMMAND_OPTIONS[command])
+    argv += data.draw(st.sampled_from([[]] * 8 + [["--frob"], ["extra"]]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        keys = set(json.loads(err.getvalue()))
+        assert keys - {"warnings"} == {"error", "message"}
+
+
 def test_interval_on_twelve_disjoint_edges_is_fast(tmp_path, capsys):
     # 12 maxcliques: 12! consecutive orderings, each clique opens one
     g = tmp_path / "edges.json"
