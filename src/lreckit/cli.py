@@ -33,6 +33,27 @@ MAX_DECOMPOSED_NODES = 100_000
 # the largest oracle sweep, in (vertex, i) pairs, and verify corpus
 MAX_ORACLE_PAIRS = 2 ** 20
 MAX_VERIFY_COUNT = 10_000
+# compile and verify refuse a formula DAG as it grows past this many
+# interned nodes, instead of building it for minutes and gigabytes. The
+# largest compile measured, --n 10 --i 11, interns 928,643 nodes; on a
+# 2-core host with Python 3.11, --n 12 --i 13 and verify --n 12 are refused
+# after about 15 s at 580 MB peak RSS.
+MAX_INTERNED_NODES = 1_000_000
+
+
+class _BoundedInterner(Interner):
+    """An interner whose first node past `budget` raises SizeExceeded."""
+
+    def __init__(self, budget: int):
+        super().__init__()
+        self.budget = budget
+
+    def intern(self, node):
+        out = super().intern(node)
+        if out is node and len(self) > self.budget:
+            raise SizeExceeded(f"the formula needs more than {self.budget}"
+                               " interned nodes")
+        return out
 
 
 def _read(path: str) -> str:
@@ -116,8 +137,8 @@ def cmd_oracle(args):
 
 def cmd_compile(args):
     params = compiler.CompileParams(args.n, args.r)
-    f = compiler.compile_x_formula(params, args.i,
-                                   cache=compiler.FormulaCache())
+    cache = compiler.FormulaCache(_BoundedInterner(MAX_INTERNED_NODES))
+    f = compiler.compile_x_formula(params, args.i, cache=cache)
     stats = compiler.formula_stats(f)
     if stats["tree_size"] > MAX_PRINTED_NODES:
         raise SizeExceeded(
@@ -136,7 +157,8 @@ def cmd_verify(args):
     params = compiler.CompileParams(args.n, args.r)
     instances = corpus.generate_corpus(args.seed, args.n, args.count)
     checked, mismatches = compiler.check_against_oracle(
-        params, instances, compiler.FormulaCache())
+        params, instances,
+        compiler.FormulaCache(_BoundedInterner(MAX_INTERNED_NODES)))
     return {
         "instances": len(instances),
         "checked": checked,

@@ -203,19 +203,18 @@ def psi_t0(n: int, h: int, ip: int, x: str, *,
                                 mk_or(degs, itn)], itn), itn),
         ], itn)
     base = psi_t0(n, 0, ip, x, cache=cache)
-    options = [
-        mk_and([
-            path_formula(n, h, ip, l, x, y, cache=cache),
-            children_t0(n, h - 1, l, c, y, cache=cache),
-            psi_t1(n, h - 1, ip, l, c, x, y, cache=cache),
-        ], itn)
-        # l = ip is the degenerate split at (x, ip) itself: the path
-        # collapses to x = y and the type-1 conjunct to P_c(x), giving the
-        # direct child-count check; without it the type-1 family never
-        # reaches its diagonal base case
-        for l in range(1, ip + 1)
-        for c in range(0, n + 1)
-    ]
+    options = []
+    # l = ip is the degenerate split at (x, ip) itself: the path collapses
+    # to x = y and the type-1 conjunct to P_c(x), giving the direct
+    # child-count check; without it the type-1 family never reaches its
+    # diagonal base case
+    for l in range(1, ip + 1):
+        path = path_formula(n, h, ip, l, x, y, cache=cache)
+        options += [
+            mk_and([path, children_t0(n, h - 1, l, c, y, cache=cache),
+                    psi_t1(n, h - 1, ip, l, c, x, y, cache=cache)], itn)
+            for c in range(0, n + 1)
+        ]
     return mk_or([base, mk_exists(y, mk_or(options, itn), itn)], itn)
 
 
@@ -223,16 +222,24 @@ def psi_t0(n: int, h: int, ip: int, x: str, *,
 def children_t0(n: int, h: int, l: int, c: int, y: str, *,
                 cache: FormulaCache) -> CFormula:
     """(y, l) admits exactly c type-0 children inside X."""
-    itn = cache.interner
     z = _fresh({y})
+    return mk_count(EQN, c, z, _body_t0(n, h, l, y, z, cache=cache),
+                    cache.interner)
+
+
+@_family
+def _body_t0(n: int, h: int, l: int, y: str, z: str, *,
+             cache: FormulaCache) -> CFormula:
+    """The body children_t0 counts: z is a child of (y, l) inside X. It
+    does not depend on the count, so every threshold shares it."""
+    itn = cache.interner
     aux = _fresh({y, z})
     per_d = [
         mk_and([deg_formula(d, z, aux, itn),
                 psi_t0(n, h, (l - 1) // d, z, cache=cache)], itn)
         for d in range(1, n + 1)
     ]
-    body = mk_and([mk_atom("E", (y, z), itn), mk_or(per_d, itn)], itn)
-    return mk_count(EQN, c, z, body, itn)
+    return mk_and([mk_atom("E", (y, z), itn), mk_or(per_d, itn)], itn)
 
 
 @_family
@@ -251,18 +258,18 @@ def psi_t1(n: int, h: int, ip: int, j: int, c: int, x: str, y: str, *,
     if h == 0:
         return base
     z = _fresh({x, y})
-    options = [
-        mk_and([
-            path_formula(n, h, ip, l, x, z, cache=cache),
-            path_formula(n, h, l, j, z, y, cache=cache),
-            children_t1(n, h - 1, l, j, c, cp, z, y, cache=cache),
-            psi_t1(n, h - 1, ip, l, cp, x, z, cache=cache),
-        ], itn)
-        # l = ip reaches the diagonal base case via the degenerate split at
-        # (x, ip) itself
-        for l in range(j + 1, ip + 1)
-        for cp in range(0, n + 1)
-    ]
+    options = []
+    # l = ip reaches the diagonal base case via the degenerate split at
+    # (x, ip) itself
+    for l in range(j + 1, ip + 1):
+        into = path_formula(n, h, ip, l, x, z, cache=cache)
+        onto = path_formula(n, h, l, j, z, y, cache=cache)
+        options += [
+            mk_and([into, onto,
+                    children_t1(n, h - 1, l, j, c, cp, z, y, cache=cache),
+                    psi_t1(n, h - 1, ip, l, cp, x, z, cache=cache)], itn)
+            for cp in range(0, n + 1)
+        ]
     return mk_or([base, mk_exists(z, mk_or(options, itn), itn)], itn)
 
 
@@ -270,10 +277,21 @@ def psi_t1(n: int, h: int, ip: int, j: int, c: int, x: str, y: str, *,
 def children_t1(n: int, h: int, l: int, j: int, c: int, cp: int, z: str,
                 y: str, *, cache: FormulaCache) -> CFormula:
     """(z, l) admits exactly cp children inside X, given that the waypoint
-    (y, j) has exactly c; children above the waypoint recurse as type 1,
-    the rest as type 0."""
-    itn = cache.interner
+    (y, j) has exactly c."""
     zp = _fresh({z, y})
+    return mk_count(EQN, cp, zp,
+                    _body_t1(n, h, l, j, c, z, y, zp, cache=cache),
+                    cache.interner)
+
+
+@_family
+def _body_t1(n: int, h: int, l: int, j: int, c: int, z: str, y: str,
+             zp: str, *, cache: FormulaCache) -> CFormula:
+    """The body children_t1 counts: zp is a child of (z, l) inside X, given
+    that the waypoint (y, j) has exactly c children. Children above the
+    waypoint recurse as type 1, the rest as type 0. Every threshold cp
+    shares it."""
+    itn = cache.interner
     aux = _fresh({z, y, zp})
     per_d = []
     for d in range(1, n + 1):
@@ -286,8 +304,7 @@ def children_t1(n: int, h: int, l: int, j: int, c: int, cp: int, z: str,
                     above], itn),
         ], itn)
         per_d.append(mk_and([deg_formula(d, zp, aux, itn), branch], itn))
-    body = mk_and([mk_atom("E", (z, zp), itn), mk_or(per_d, itn)], itn)
-    return mk_count(EQN, cp, zp, body, itn)
+    return mk_and([mk_atom("E", (z, zp), itn), mk_or(per_d, itn)], itn)
 
 
 def compile_x_formula(params: CompileParams, i: int, x: str = "x", *,

@@ -15,6 +15,18 @@ def mk_implies(a: CFormula, b: CFormula, interner: Interner) -> CFormula:
     return mk_or([mk_not(a, interner), b], interner)
 
 
+class CountingInterner(Interner):
+    """An interner that counts its intern calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def intern(self, node):
+        self.calls += 1
+        return super().intern(node)
+
+
 def distinguishes(g: RelStructure, h: RelStructure, f: CFormula) -> bool:
     """True iff the sentence f evaluates differently on g and h."""
     return Evaluator(g).eval(f) != Evaluator(h).eval(f)

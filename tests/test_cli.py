@@ -18,9 +18,10 @@ from helpers import (
     h8,
     path_graph,
 )
-from lreckit import wl
+from lreckit import cli, wl
 from lreckit.cformula import MAX_NESTING
 from lreckit.cli import main
+from lreckit.compile import CompileParams, FormulaCache, compile_x_formula
 
 GRAPH = '{"n": 3, "rels": {"E": [[0,1],[0,0],[0,2],[2,2],[2,0]]}, "root": 0}'
 COND = '{"C": {"0": [0,2,3], "1": [0,1], "2": [3]}}'
@@ -812,6 +813,33 @@ def test_wl_refines_once_and_keeps_each_history(g, h, k, max_rounds,
                  "--k", str(k), "--max-rounds", str(max_rounds)]) == 0
     assert json.loads(capsys.readouterr().out) == want
     assert passes == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--n", "12", "--i", "13"],
+    ["verify", "--n", "12", "--count", "1"],
+])
+def test_a_dag_past_the_node_budget_is_refused(argv, monkeypatch, capsys):
+    # at the real budget each argv is refused after about 15 s at 580 MB,
+    # which CI checks through the installed script; a smaller budget keeps
+    # this test under a second
+    monkeypatch.setattr(cli, "MAX_INTERNED_NODES", 50_000)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "SizeExceeded"
+
+
+def test_the_node_budget_admits_exactly_its_nodes(monkeypatch, capsys):
+    cache = FormulaCache()
+    compile_x_formula(CompileParams(2, 1), 1, cache=cache)
+    need = len(cache.interner)
+    monkeypatch.setattr(cli, "MAX_INTERNED_NODES", need)
+    assert main(["compile", "--n", "2", "--i", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_INTERNED_NODES", need - 1)
+    assert main(["compile", "--n", "2", "--i", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SizeExceeded"
 
 
 def test_byte_identical_reruns(files, tmp_path):

@@ -1,7 +1,23 @@
+import hashlib
+
 import pytest
 
-from helpers import FIG1_IN_X, FIG1_NOT_IN_X, fig1_instance, quiet_condition
-from lreckit.cformula import Interner, TableEvaluator, dag_size, nodes, nvars, qdepth
+from helpers import (
+    FIG1_IN_X,
+    FIG1_NOT_IN_X,
+    CountingInterner,
+    fig1_instance,
+    quiet_condition,
+)
+from lreckit.cformula import (
+    CFormula,
+    Interner,
+    TableEvaluator,
+    dag_size,
+    nodes,
+    nvars,
+    qdepth,
+)
 from lreckit.compile import (
     CompileParams,
     FormulaCache,
@@ -14,6 +30,37 @@ from lreckit.corpus import generate_corpus
 from lreckit.errors import MalformedInput, RangeViolation
 from lreckit.structures import DiGraph
 from lreckit.xfix import XInstance, compute_X, encode_tau_n
+
+
+class CountingCache(FormulaCache):
+    """A formula cache that counts its family lookups."""
+
+    def __init__(self, interner: Interner | None = None):
+        super().__init__(interner)
+        self.lookups = 0
+
+    def get(self, key: tuple):
+        self.lookups += 1
+        return super().get(key)
+
+
+def dag_digest(roots: list[CFormula]) -> str:
+    """A SHA-256 of the nodes reachable from roots, in nid order, each as
+    its kind, its fields and its children's positions in that order, and
+    of the roots' positions: equal exactly when two builds reach the same
+    nodes, interned in the same relative order, whatever their
+    process-wide nids."""
+    found: dict[int, CFormula] = {}
+    for root in roots:
+        for node in nodes(root, found):
+            found[node.nid] = node
+    pos = {nid: k for k, nid in enumerate(sorted(found))}
+    rows = [(f.kind, f.value, f.vars, f.symbol,
+             tuple([pos[c.nid] for c in f.children]),
+             f.mode, f.threshold, f.bound_var)
+            for f in (found[nid] for nid in sorted(found))]
+    text = repr((rows, [pos[f.nid] for f in roots]))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_params_validation():
@@ -73,6 +120,64 @@ def test_a_witness_needs_five_recursion_levels():
     for f in (psi_t0(4, 5, 5, "x", cache=cache),
               compile_x_formula(params, 5, cache=cache)):
         assert ev.eval(f, {"x": 2}) == want
+
+
+def needed_levels(n: int, instance, v: int, i: int) -> int:
+    """The least h such that psi_t0 at every level from h up to the
+    compiler's budget H (r = 1) agrees with compute_X at (v, i); H + 1 when
+    the budget itself disagrees. A lower level can answer right by chance,
+    so the scan runs down from H."""
+    g, c = instance
+    ev = TableEvaluator(encode_tau_n(g, c, n))
+    want = compute_X(XInstance(g, c), v, i)
+    cache = FormulaCache()
+    h = CompileParams(n, 1).H
+    while h >= 0 and ev.eval(psi_t0(n, h, i, "x", cache=cache),
+                             {"x": v}) == want:
+        h -= 1
+    return h + 1
+
+
+def test_a_path_witness_needs_five_recursion_levels():
+    # the first of the 66 checks that fail at 4 levels when 200 conditions
+    # over {0, 1} are drawn by random.Random(1) for the path 0 -> 1 -> .. -> 4
+    g = DiGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}), root=0)
+    c = quiet_condition(g, {0: {0}, 1: {1}, 2: {0, 1}, 3: set(), 4: {0, 1}})
+    assert needed_levels(5, (g, c), 0, 5) == 5
+    want = compute_X(XInstance(g, c), 0, 5)
+    assert want is False  # 4 levels say (0, 5) lies in X
+    f = compile_x_formula(CompileParams(5, 1), 5, cache=FormulaCache())
+    assert TableEvaluator(encode_tau_n(g, c, 5)).eval(f, {"x": 0}) == want
+
+
+# compile_x_formula at i = 1..top on one fresh cache, by (n, r, top)
+DAG_DIGESTS = {
+    (4, 1, 5):
+    "50241b736a32df43feef205e754f6feb9e96482a8c47851f9c1f2ac1a6c4d37c",
+    (5, 1, 6):
+    "8f352097550b11e34d99d2e538a68f829051f9545ad90a1d9c2cf47850b9de40",
+    (2, 2, 9):
+    "c6e3a1d3c58aa56e0c5a64490a902d40536cdc34bec5aa3b5476be4155c82a93",
+}
+
+
+@pytest.mark.parametrize("n, r, top", DAG_DIGESTS)
+def test_compiled_dags_are_pinned_node_for_node(n, r, top):
+    # measured when every threshold still rebuilt its counted body
+    cache = FormulaCache()
+    roots = [compile_x_formula(CompileParams(n, r), i, cache=cache)
+             for i in range(1, top + 1)]
+    assert dag_digest(roots) == DAG_DIGESTS[n, r, top]
+
+
+def test_each_counted_body_is_built_once():
+    # rebuilding a counted body for each threshold makes the same 11,181
+    # nodes from 53,874 intern calls and 44,984 family lookups
+    cache = CountingCache(CountingInterner())
+    for i in range(1, 6):
+        compile_x_formula(CompileParams(4, 1), i, cache=cache)
+    assert (cache.interner.calls, cache.lookups, len(cache.interner)) == (
+        20302, 20669, 11181)
 
 
 @pytest.mark.parametrize("n, r, i, dag, qd, nv, interned", [

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings
 
+from helpers import CountingInterner
 from lrec_battery import (
     BATTERY,
     MAX_N_TWO_KAPPA,
@@ -13,7 +14,6 @@ from lrec_battery import (
 )
 from lrec_strategies import lrec_formulas, structures
 from lreckit.cformula import (
-    Interner,
     TableEvaluator,
     dag_size,
     mk_bool,
@@ -42,16 +42,6 @@ from lreckit.lformula import (
 )
 
 CACHE = FormulaCache()
-
-
-class CountingInterner(Interner):
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
-
-    def intern(self, node):
-        self.calls += 1
-        return super().intern(node)
 
 
 def sweep(f, kappas, s, cache=CACHE):
