@@ -69,6 +69,7 @@ class CFormula:
         "fv",
         "plans",
         "steps",
+        "slot",
     )
 
     def __init__(self, kind, *, value=None, vars=(), symbol=None, children=(),
@@ -118,7 +119,8 @@ def _derive(node: CFormula) -> None:
         free.discard(node.bound_var)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    # the node's plans by n and its _Steps, set by the first table evaluation
+    # the node's plans by n and its _Steps, set by the first table
+    # evaluation, which also gives it its slot
     node.plans = node.steps = None
     # a child's free variables are a subset of the node's (a superset for
     # COUNT), so a child of the same size has the same ones: share its tuple
@@ -505,17 +507,28 @@ def _step(shape: tuple, n: int) -> tuple:
     return _LEAF, None
 
 
-def _shape(f: CFormula) -> tuple:
+class _Positions(dict):
+    """The positions of a child's variables among its parent's, by the
+    pair of their free-variable tuples, each computed on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> tuple:
+        fv, cv = key
+        kept = self[key] = tuple(map(fv.index, cv))
+        return kept
+
+
+def _shape(f: CFormula, positions: _Positions) -> tuple:
     """What f's table operation depends on besides n: its kind and the
     number of its variables (for COUNT its child's); for AND and OR the
-    positions among them of each child's variables, for COUNT the
-    position of the bound variable (-1 if absent), the mode and the
-    threshold, for BOOL its value."""
+    positions among them of each child's variables (from `positions`),
+    for COUNT the position of the bound variable (-1 if absent), the mode
+    and the threshold, for BOOL its value."""
     kind = f.kind
     if kind == AND or kind == OR:
         fv = f.fv
-        return kind, len(fv), tuple([tuple(map(fv.index, c.fv))
-                                     for c in f.children])
+        return kind, len(fv), tuple([positions[fv, c.fv] for c in f.children])
     if kind == COUNT:
         cv, b = f.children[0].fv, f.bound_var
         return (kind, len(cv), cv.index(b) if b in cv else -1, f.mode,
@@ -527,13 +540,12 @@ def _shape(f: CFormula) -> tuple:
 
 class _Steps(dict):
     """The steps of the nodes of one shape, by n; each built on first use.
-    Every node of the shape points here (`CFormula.steps`), and so does
-    its family: the shapes given out together, by shape, and the tables
-    of the nodes constant at n (`_plan`), by n."""
+    Every node of the shape in one family points here (`CFormula.steps`),
+    and so does the family (`_Family.by_shape`)."""
 
     __slots__ = ("shape", "family")
 
-    def __init__(self, shape: tuple, family: tuple[dict, dict]):
+    def __init__(self, shape: tuple, family: _Family):
         self.shape, self.family = shape, family
 
     def __missing__(self, n: int) -> tuple:
@@ -542,61 +554,112 @@ class _Steps(dict):
         return step
 
 
-class _Applied(dict):
-    """The result of each (reader or counter, table) pair, computed on
-    first use: an operation applied again to a table of the same value is
-    not run again."""
+class _Family:
+    """Nodes planned together (`_plan`), each at its slot: its index in
+    `nodes`. A node joins after its children, so its slot is higher than
+    theirs, at every n. The family keeps its nodes' steps by shape, the
+    tables of its nodes that n decides by n, and the child positions of
+    its AND and OR shapes."""
 
-    __slots__ = ()
+    __slots__ = ("by_shape", "by_n", "nodes", "positions")
 
-    def __missing__(self, key: tuple) -> int:
-        op, t = key
-        tbl = self[key] = op(t)
+    def __init__(self):
+        self.by_shape: dict[tuple, _Steps] = {}
+        self.by_n: dict[int, dict[CFormula, int]] = {}
+        self.nodes: list[CFormula] = []
+        self.positions = _Positions()
+
+    def merge(self, other: _Family) -> _Family:
+        """The larger of this family and other, having taken in the
+        other's nodes after its own, in their order: each gets the next
+        slot and the taker's steps of its shape (its own record, if the
+        taker has none), and the other's constant tables join the
+        taker's."""
+        taker, other = ((self, other) if len(self.nodes) >= len(other.nodes)
+                        else (other, self))
+        by_shape, members = taker.by_shape, taker.nodes
+        for f in other.nodes:
+            steps = by_shape.get(f.steps.shape)
+            if steps is None:
+                steps = by_shape[f.steps.shape] = f.steps
+                steps.family = taker
+            f.steps = steps
+            f.slot = len(members)
+            members.append(f)
+        for n, const in other.by_n.items():
+            taker.by_n.setdefault(n, {}).update(const)
+        return taker
+
+
+class _Results(dict):
+    """The results of one reader or counter, by the table it was given,
+    each computed on first use."""
+
+    __slots__ = ("op",)
+
+    def __init__(self, op: Callable[[int], int]):
+        self.op = op
+
+    def __missing__(self, t: int) -> int:
+        tbl = self[t] = self.op(t)
         return tbl
 
 
-def _fill(memo: dict, todo: Iterable[CFormula], n: int,
+class _Applied(dict):
+    """The `_Results` of each reader or counter: an operation applied
+    again to a table of the same value is not run again."""
+
+    __slots__ = ()
+
+    def __missing__(self, op: Callable[[int], int]) -> _Results:
+        results = self[op] = _Results(op)
+        return results
+
+
+def _fill(regs, todo: Iterable[CFormula], n: int,
           leaf: Callable[[CFormula], int] | None, values: _Applied) -> None:
-    """Put in memo the table at n of each node of todo that it lacks, in
-    turn: a node's children are in memo or before it in todo. `leaf`
-    gives the table of an ATOM node. No node of todo has a _CONST step:
-    `_plan` keeps those among its constant tables. Child readers and COUNT
-    counters are applied through `values`."""
+    """Put in regs, at its slot, the table at n of each node of todo whose
+    slot is empty (None), in turn: a node's children are in regs or
+    before it in todo. `leaf` gives the table of an ATOM node. No node of
+    todo has a _CONST step: `_plan` keeps those among its constant
+    tables. Child readers and COUNT counters are applied through
+    `values`."""
     for f in todo:
-        if f in memo:
+        slot = f.slot
+        if regs[slot] is not None:
             continue
         code, arg = f.steps[n]
         if code == _AND:
             tbl = -1
             if arg is None:
                 for c in f.children:
-                    tbl &= memo[c]
+                    tbl &= regs[c.slot]
             else:
                 children = f.children
                 for read, group in arg:
                     t = -1
                     for i in group:
-                        t &= memo[children[i]]
-                    tbl &= t if read is None else values[read, t]
+                        t &= regs[children[i].slot]
+                    tbl &= t if read is None else values[read][t]
         elif code == _COUNT:
-            tbl = values[arg, memo[f.children[0]]]
+            tbl = values[arg][regs[f.children[0].slot]]
         elif code == _OR:
             tbl = 0
             if arg is None:
                 for c in f.children:
-                    tbl |= memo[c]
+                    tbl |= regs[c.slot]
             else:
                 children = f.children
                 for read, group in arg:
                     t = 0
                     for i in group:
-                        t |= memo[children[i]]
-                    tbl |= t if read is None else values[read, t]
+                        t |= regs[children[i].slot]
+                    tbl |= t if read is None else values[read][t]
         elif code == _XOR:
-            tbl = memo[f.children[0]] ^ arg
+            tbl = regs[f.children[0].slot] ^ arg
         else:
             tbl = leaf(f)
-        memo[f] = tbl
+        regs[slot] = tbl
 
 
 def _plan(root: CFormula, n: int) -> tuple:
@@ -604,30 +667,43 @@ def _plan(root: CFormula, n: int) -> tuple:
     n elements changes and that root reads, and the other nodes root
     needs, children first. It reads no structure.
 
-    The nodes of root are listed children first (`nodes`); a listed node
-    without steps gets those of its shape in the family of the listed
-    nodes that have steps (a new family if none has). A node is constant
-    at n when its step is _CONST, when it is an AND with an empty child,
-    or when its children are all constant (its own step then gives its
-    table); the family keeps the constant tables by n, so roots that
-    share a constant sub-DAG fold it once. Every listed node's step is
-    built, needed or not, so a table too large for n is refused here."""
+    The nodes of root are listed children first (`nodes`). A listed node
+    without steps joins the family of the nodes listed before it (a new
+    one if there are none) with the steps of its shape; where a listed
+    node lies in another family, the larger of the two takes in the
+    other (`_Family.merge`), so root's nodes end in one family. A node is
+    constant at n when its step is _CONST, when it is an AND with an
+    empty child, or when its children are all constant (its own step then
+    gives its table); the family keeps the constant tables by n, so roots
+    that share a constant sub-DAG fold it once. Every listed node's step
+    is built, needed or not, so a table too large for n is refused
+    here."""
     order = nodes(root)
-    family = next((f.steps.family for f in order if f.steps is not None),
-                  ({}, {}))
-    by_shape, by_n = family
-    const = by_n.setdefault(n, {})
+    family = const = None
     atoms = []
     for f in order:
+        steps = f.steps
+        if steps is None:
+            if family is None:
+                family = _Family()
+                const = family.by_n[n] = {}
+            shape = _shape(f, family.positions)
+            steps = family.by_shape.get(shape)
+            if steps is None:
+                steps = family.by_shape[shape] = _Steps(shape, family)
+            f.steps = steps
+            f.slot = len(family.nodes)
+            family.nodes.append(f)
+        elif steps.family is not family:
+            # the first listed node, or one of another family than the
+            # nodes listed before it: the larger family takes in the other
+            family = steps.family if family is None else family.merge(
+                steps.family)
+            const = family.by_n.setdefault(n, {})
+            steps = f.steps
         if f in const:
             continue
-        if f.steps is None:
-            shape = _shape(f)
-            steps = by_shape.get(shape)
-            if steps is None:
-                steps = by_shape[shape] = _Steps(shape, family)
-            f.steps = steps
-        code, arg = f.steps[n]
+        code, arg = steps[n]
         if code == _CONST:
             const[f] = arg
         elif code == _LEAF:
@@ -636,7 +712,11 @@ def _plan(root: CFormula, n: int) -> tuple:
             # a node with no constant child is not constant
             kids = list(map(const.get, f.children))
             if None not in kids:
-                _fill(const, (f,), n, None, _Applied())
+                # registers for the children and f alone
+                regs = dict(zip([c.slot for c in f.children], kids))
+                regs[f.slot] = None
+                _fill(regs, (f,), n, None, _Applied())
+                const[f] = regs[f.slot]
             elif 0 in kids and code == _AND:
                 const[f] = 0
     # from the root down, stopping at constant nodes
@@ -664,9 +744,11 @@ class TableEvaluator:
     once; sharing across queries (different assignments, different roots
     over a common sub-DAG) is free. What a node's step needs besides its
     children's tables is built once per shape and n (`_Steps`), so an
-    evaluator pays only for the int operations and the atoms. A reader or
-    counter applied again to a table of the same value returns the result
-    the evaluator stored the first time (`_Applied`); the store dies with it.
+    evaluator pays only for the int operations and the atoms. The
+    evaluator keeps the tables of each family's nodes in a list, at the
+    nodes' slots (`_Family`), and the result of each reader or counter
+    by the table it was given (`_Applied`), so an operation applied again
+    to a table of the same value is not run again; both die with it.
 
     A formula built for n elements must decide smaller structures too;
     on those, a count whose threshold exceeds the domain size is
@@ -681,7 +763,8 @@ class TableEvaluator:
 
     def __init__(self, structure: RelStructure):
         self.structure = structure
-        self._memo: dict[CFormula, int] = {}
+        # by family, the tables of its nodes by slot; None where not filled
+        self._regs: dict[_Family, list] = {}
         self._values = _Applied()
 
     def _leaf(self, f: CFormula) -> int:
@@ -700,11 +783,11 @@ class TableEvaluator:
         return int(bits, 2)
 
     def _tables(self, root: CFormula) -> int:
-        """Fill the memo for the nodes root needs; root's table."""
-        memo = self._memo
-        tbl = memo.get(root)
-        if tbl is not None:
-            return tbl
+        """Fill the registers of the nodes root needs; root's table."""
+        if root.steps is not None:
+            regs = self._regs.get(root.steps.family, ())
+            if root.slot < len(regs) and regs[root.slot] is not None:
+                return regs[root.slot]
         s = self.structure
         n = s.n
         plans = root.plans
@@ -716,9 +799,17 @@ class TableEvaluator:
         atoms, loads, todo = plan
         for f in atoms:
             _check_atom(f, s)
-        memo.update(loads)
-        _fill(memo, todo, n, self._leaf, self._values)
-        return memo[root]
+        # after the plan: a root's first plan gives it its family and slot
+        family, slot = root.steps.family, root.slot
+        regs = self._regs.get(family)
+        if regs is None:
+            regs = self._regs[family] = [None] * (slot + 1)
+        elif len(regs) <= slot:
+            regs += [None] * (slot + 1 - len(regs))
+        for f, tbl in loads.items():
+            regs[f.slot] = tbl
+        _fill(regs, todo, n, self._leaf, self._values)
+        return regs[slot]
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:
         n = self.structure.n

@@ -136,6 +136,30 @@ def test_roots_that_share_a_sub_dag_match_the_recursive_evaluator(
     assert_cells_match(TableEvaluator(t), f)
 
 
+def assert_family_is_whole(root):
+    """Every node of root is in one family, whose slots are 0, 1, ...
+    in the order of its nodes, each node's above its children's."""
+    (family,) = {f.steps.family for f in nodes(root)}
+    assert [f.slot for f in family.nodes] == list(range(len(family.nodes)))
+    assert all(f.steps.family is family for f in family.nodes)
+    assert all(c.slot < f.slot for f in family.nodes for c in f.children)
+
+
+@settings(max_examples=100)
+@given(structures(), st.lists(formulas(), min_size=2, max_size=4),
+       st.data())
+def test_roots_in_any_order_on_one_evaluator_match(s, roots, data):
+    # one evaluator's registers serve every root: a root may find its
+    # nodes filled by an earlier one, lie at a higher slot than the
+    # registers reach, or join two families an earlier root planned
+    ev = TableEvaluator(s)
+    for i in data.draw(st.permutations(range(len(roots)))):
+        assert_cells_match(ev, roots[i])
+    for root in roots:
+        assert_cells_match(ev, root)
+        assert_family_is_whole(root)
+
+
 # n = 5 with the bound variable c moves 25 blocks: the last group of every
 # step is partly filled
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -334,13 +358,14 @@ def test_reads_of_one_child_into_other_layouts_in_one_evaluator_match(n):
 
 def _kept_entries(root):
     """The entries each node of root and each of their steps records
-    hold: the node's plans, and its steps by n with their family's shapes
-    and constant tables."""
+    hold: the node's plans, and its steps by n with their family's shapes,
+    constant tables and slots."""
     kept = {}
     for f in nodes(root):
-        by_shape, by_n = f.steps.family
-        kept[f] = (len(f.plans or ()), len(f.steps), len(by_shape),
-                   {n: len(c) for n, c in by_n.items()})
+        family = f.steps.family
+        kept[f] = (len(f.plans or ()), len(f.steps), len(family.by_shape),
+                   {n: len(c) for n, c in family.by_n.items()},
+                   len(family.nodes))
     return kept
 
 
@@ -357,6 +382,39 @@ def test_a_second_evaluator_at_one_n_keeps_nothing_new():
     kept = _kept_entries(root)
     assert_cells_match(TableEvaluator(_random_e_and_r(3)), root)
     assert _kept_entries(root) == kept
+
+
+def test_a_root_over_two_families_joins_them():
+    # g and h share no node, so their first plans make two families; a
+    # root over both, and over a NOT of another interner's atom, makes
+    # the larger family take in the smaller one's nodes at new slots
+    itn = Interner()
+    g = parse_sexpr("(count = 1 y (and (atom E x y) (atom P y)))", itn)
+    h = parse_sexpr("(count >= 2 z (or (atom R x y z) (not (eq y z))))",
+                    itn)
+    loop = mk_atom("E", ("x", "x"), Interner())
+    ev = TableEvaluator(_random_e_and_r(3))
+    for first in (g, h):
+        assert_cells_match(ev, first)
+    assert g.steps.family is not h.steps.family
+    small = min(g.steps.family, h.steps.family, key=lambda fam: len(fam.nodes))
+    root = mk_or([g, mk_and([h, mk_not(loop, itn)], itn)], itn)
+    # the evaluator that filled g and h at their old slots, then fresh
+    # evaluators at two sizes, for the new root and the first two
+    assert_cells_match(ev, root)
+    for first in (g, h):
+        assert_cells_match(ev, first)
+    for n in (2, 3):
+        for r in (root, g, h):
+            assert_cells_match(TableEvaluator(_random_e_and_r(n)), r)
+    assert_family_is_whole(root)
+    assert root.steps.family is not small
+    # a root over a node the smaller family had and a new node plans
+    # within the one family
+    again = mk_and([g.children[0], mk_atom("P", ("z",), itn)], itn)
+    assert_cells_match(ev, again)
+    assert_family_is_whole(again)
+    assert again.steps.family is root.steps.family
 
 
 def test_evaluation_keeps_no_state_in_the_module():
