@@ -23,12 +23,10 @@ from dataclasses import dataclass
 from .cformula import (
     AND,
     ATOM,
-    BOOL,
     COUNT,
     EQ,
     EQN,
     GE,
-    LE,
     NOT,
     OR,
     CFormula,
@@ -154,8 +152,6 @@ def _family(build):
 
 def deg_formula(d: int, target: str, aux: str, interner: Interner) -> CFormula:
     """In-degree test: exactly d elements with an edge into target."""
-    if aux == target:
-        raise MalformedInput("aux variable must differ from target")
     return mk_count(EQN, d, aux, mk_atom("E", (aux, target), interner), interner)
 
 
@@ -449,13 +445,13 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
     replaced by definable-equivalence-guarded tests. Its counting
     quantifiers range over equivalence classes, and every one of them is
     built from "at least c classes satisfy the body" terms: `>= t` is the
-    term for t, `<= t` the negated term for t+1, and `= t` the term for t
-    and the negated term for t+1, so thresholds t and t+1 of one body share
-    a term. At least one class satisfies the body iff some element does.
-    At least c >= 2 classes do iff, for some choice of q_s classes of each
-    size s with sum(q_s) = c and sum(s * q_s) <= n, at least s * q_s
-    elements satisfy the body conjoined with "my class has exactly s
-    members", for every s with q_s > 0. This assumes the equality formula
+    term for t, and `= t` the term for t and the negated term for t+1, so
+    thresholds t and t+1 of one body share a term. At least one class
+    satisfies the body iff some element does. At least c >= 2 classes do
+    iff, for some choice of q_s classes of each size s with sum(q_s) = c
+    and sum(s * q_s) <= n, at least s * q_s elements satisfy the body
+    conjoined with "my class has exactly s members", for every s with
+    q_s > 0. This assumes the equality formula
     defines a genuine equivalence relation, so that the body is
     class-invariant and the classes are disjoint: otherwise an element
     count does not measure classes and the sizes do not add up.
@@ -539,9 +535,7 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
 
     for node in nodes(phi_x, memo):
         kind = node.kind
-        if kind == BOOL:
-            out = node
-        elif kind == EQ:
+        if kind == EQ:
             out = psi(eq_f, *node.vars)
         elif kind == ATOM:
             if node.symbol == "E":
@@ -549,7 +543,7 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
                 out = mk_exists(s1, mk_exists(s2, mk_and(
                     [psi(eq_f, s1, a), psi(eq_f, s2, b), psi(edge_f, s1, s2)],
                     itn), itn), itn)
-            elif node.symbol.startswith("P"):
+            else:  # P_i, the only other symbol compile_x_formula uses
                 label = int(node.symbol[1:])
                 (a,) = node.vars
                 width = len(f.iotas)
@@ -560,8 +554,6 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
                 ]
                 out = mk_exists(s1, mk_and(
                     [psi(eq_f, s1, a), mk_or(variants, itn)], itn), itn)
-            else:
-                raise MalformedInput(f"unexpected symbol {node.symbol!r}")
         elif kind == NOT:
             out = mk_not(memo[node.children[0].nid], itn)
         elif kind == OR:
@@ -573,9 +565,7 @@ def translate_lrec_once(f: LFormula, n: int, m_values,
             z, t = node.bound_var, node.threshold
             if node.mode == GE:
                 out = at_least(child, z, t)
-            elif node.mode == LE:
-                out = mk_not(at_least(child, z, t + 1), itn)
-            else:
+            else:  # EQN; compile_x_formula builds no <= count
                 out = mk_and([at_least(child, z, t),
                               mk_not(at_least(child, z, t + 1), itn)], itn)
         else:

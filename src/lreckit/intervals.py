@@ -222,8 +222,6 @@ def is_chordal(g: Graph) -> bool:
 
 
 def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
     seen = {0}
     stack = [0]
     while stack:
@@ -236,8 +234,6 @@ def _connected(g: Graph) -> bool:
 
 
 def _path_avoiding(g: Graph, a: int, b: int, banned: set[int]) -> bool:
-    if a in banned or b in banned:
-        return False
     seen = {a}
     stack = [a]
     while stack:

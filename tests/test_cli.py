@@ -19,7 +19,8 @@ from helpers import (
     path_graph,
 )
 from lreckit import cli, wl
-from lreckit.cformula import MAX_NESTING
+from lreckit import compile as compiler
+from lreckit.cformula import MAX_NESTING, mk_not
 from lreckit.cli import main
 from lreckit.compile import CompileParams, FormulaCache, compile_x_formula
 
@@ -131,6 +132,28 @@ def test_verify_reports_agreement(files):
     assert doc["checked"] > 0
 
 
+def test_verify_exits_1_when_a_compiled_answer_is_wrong(monkeypatch,
+                                                        capsys):
+    compile_right = compiler.compile_x_formula
+
+    def compile_wrong(params, i, x="x", *, cache):
+        return mk_not(compile_right(params, i, x, cache=cache), cache.interner)
+
+    monkeypatch.setattr(compiler, "compile_x_formula", compile_wrong)
+    assert main(["verify", "--n", "1", "--count", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "instances": 1,
+        "checked": 2,
+        "mismatches": [
+            {"instance": 0, "v": 0, "i": 1, "compiled": False, "oracle": True},
+            {"instance": 0, "v": 0, "i": 2, "compiled": False, "oracle": True},
+        ],
+        "ok": False,
+    }
+
+
 def test_decompose(files):
     code, doc = run(["decompose", files["dag.json"]], files["out"])
     assert code == 0
@@ -200,6 +223,9 @@ STRUCTURES = {
     "edges-key.json": '{"n": 3, "edges": [[0, 1], [1, 2]]}',
     "path3.json": graph_json(path_graph(3)),
     "path4.json": graph_json(path_graph(4)),
+    "f-rel.json": '{"n": 2, "rels": {"F": [[0]]}}',
+    "matching13.json": json.dumps(
+        {"n": 26, "rels": {"E": [[2 * u, 2 * u + 1] for u in range(13)]}}),
 }
 DUP_WARNING = {"category": "UserWarning",
                "message": "duplicate tuples in relation 'E' were deduplicated"}
@@ -393,6 +419,18 @@ WIDE_TABLE = ["eval", "sixty.json", "--sexpr",
     (["lrec-eval", "edge.json", "--sexpr",
       "(lrec (y1) (y2) () (eq y1 y2) (atom E y1 y2) (bool t) (x) (k))"],
      "ArityMismatch"),
+    (["eval", "one.json", "--sexpr", "(count >= 1000001 x (atom P x))"],
+     "RangeViolation"),
+    (["eval", "one.json", "--sexpr", "(atom P)"], "MalformedInput"),
+    (["eval", "one.json", "--sexpr", "(not)"], "MalformedInput"),
+    (["lrec-eval", "one.json", "--sexpr", "(count-dom x (atom P x) (k))"],
+     "MalformedInput"),
+    (["lrec-eval", "one.json", "--sexpr", "(eq x)"], "MalformedInput"),
+    (["lrec-eval", "one.json", "--sexpr", "(exists x)"], "MalformedInput"),
+    # stats reads a graph, whose vocabulary is E alone
+    (["stats", "f-rel.json"], "MalformedInput"),
+    # 13 disjoint edges: one maxclique each
+    (["interval", "matching13.json"], "SizeExceeded"),
 ])
 def test_bad_assignment_exits_2_with_one_json_error(argv, error, tmp_path,
                                                     capsys):

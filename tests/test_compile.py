@@ -9,7 +9,12 @@ from helpers import (
     fig1_instance,
     quiet_condition,
 )
+from lreckit import compile as compiler
 from lreckit.cformula import (
+    ATOM,
+    BOOL,
+    COUNT,
+    LE,
     CFormula,
     Interner,
     TableEvaluator,
@@ -192,6 +197,36 @@ def test_compiled_shape_is_pinned(n, r, i, dag, qd, nv, interned):
     f = compile_x_formula(CompileParams(n, r), i, cache=cache)
     assert (dag_size(f), qdepth(f), nvars(f), len(cache.interner)) == (
         dag, qd, nv, interned)
+
+
+@pytest.mark.parametrize("n, r", [(n, 1) for n in range(1, 7)]
+                         + [(1, 2), (2, 2)])
+def test_compiled_formulas_hold_only_what_the_translation_maps(n, r,
+                                                               monkeypatch):
+    # translate_lrec_once maps EQ, E and P_i atoms, NOT, OR, AND and the
+    # >= and = counts: no constant, no <= count and no other symbol occurs
+    # in any root, and every in-degree test counts a variable other than
+    # its target
+    degree_vars = []
+    deg_formula = compiler.deg_formula
+
+    def deg_formula_seen(d, target, aux, interner):
+        degree_vars.append((target, aux))
+        return deg_formula(d, target, aux, interner)
+
+    monkeypatch.setattr(compiler, "deg_formula", deg_formula_seen)
+    cache = FormulaCache()
+    seen: dict[int, CFormula] = {}
+    for i in range(1, (n + 1) ** r + 1):
+        for node in nodes(compile_x_formula(CompileParams(n, r), i,
+                                            cache=cache), seen):
+            seen[node.nid] = node
+    found = list(seen.values())
+    assert not [f for f in found if f.kind == BOOL]
+    assert not [f for f in found if f.kind == COUNT and f.mode == LE]
+    assert {f.symbol for f in found if f.kind == ATOM} <= {
+        "E", *(f"P{label}" for label in range(n + 1))}
+    assert degree_vars and all(t != a for t, a in degree_vars)
 
 
 def test_out_of_range_resource_rejected():

@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from helpers import H8_MAXCLIQUES, cycle_graph, disjoint_union, h8, path_graph
+from lreckit import intervals
 from lreckit.errors import NotAMaxclique, NotInterval, SizeExceeded
 from lreckit.intervals import (
+    PrecRelation,
     extract_modules,
     is_at_free,
     is_chordal,
@@ -79,6 +81,51 @@ def connected_graphs(n):
 def test_recognition_agrees_with_oracle_small(n):
     for g in connected_graphs(n):
         assert is_interval(g) == is_interval_oracle(g)
+
+
+def test_the_oracle_asks_only_about_nonempty_graphs_and_open_ends(
+        monkeypatch):
+    # is_chordal tests subsets of 4 or more vertices, and is_at_free asks
+    # for a path between two vertices outside the closed neighbourhood it
+    # avoids, so neither helper needs a case for the other inputs
+    asked = []
+    connected, path_avoiding = intervals._connected, intervals._path_avoiding
+
+    def connected_asked(g):
+        asked.append(g.n >= 1)
+        return connected(g)
+
+    def path_avoiding_asked(g, a, b, banned):
+        asked.append(a not in banned and b not in banned)
+        return path_avoiding(g, a, b, banned)
+
+    monkeypatch.setattr(intervals, "_connected", connected_asked)
+    monkeypatch.setattr(intervals, "_path_avoiding", path_avoiding_asked)
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in itertools.product((False, True), repeat=len(pairs)):
+            is_interval_oracle(
+                Graph(n, frozenset(p for p, b in zip(pairs, bits) if b)))
+    assert asked and all(asked)
+
+
+def test_relation_properties_on_hand_built_relations():
+    a, b, c = frozenset({0}), frozenset({1}), frozenset({2})
+
+    def relation(*pairs):
+        return PrecRelation(a, (a, b, c), frozenset(pairs))
+
+    # a before b before c, but not a before c
+    chain = relation((a, b), (b, c))
+    assert chain.is_irreflexive and not chain.is_transitive
+    assert not chain.is_strict_weak_order
+    # a before c alone: b is incomparable to both, a and c are not
+    lone = relation((a, c))
+    assert lone.is_irreflexive and lone.is_transitive
+    assert not lone.is_strict_weak_order
+    loop = relation((a, a))
+    assert not loop.is_irreflexive and loop.is_transitive
+    assert not loop.is_strict_weak_order
 
 
 def test_possible_ends():
@@ -181,6 +228,7 @@ def test_module_check_brute_force():
     assert is_module(g, frozenset({2, 3, 4, 5, 6, 7}))
     assert is_module(g, frozenset({6, 7}))
     assert not is_module(g, frozenset({2, 4}))
+    assert not is_module(g, set())
 
 
 def test_linear_prec_gives_no_modules():

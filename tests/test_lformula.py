@@ -22,6 +22,7 @@ from lreckit.lformula import (
     eval_lrec,
     parse_lsexpr,
     print_lsexpr,
+    term_value,
 )
 from lreckit.structures import RelStructure, Vocabulary
 from lreckit.xfix import XInstance, compute_X, encode_tau_n
@@ -92,6 +93,15 @@ def test_unbound_and_nested_errors():
     s = struct(2, [])
     with pytest.raises(UnboundVariable):
         ev(s, "(atom P x)")
+
+
+@pytest.mark.parametrize("term, error", [
+    (("var", "k"), UnboundVariable),
+    (("succ", "k"), MalformedInput),
+])
+def test_term_value_refuses_what_it_cannot_read(term, error):
+    with pytest.raises(error):
+        term_value(term, {}, 2)
 
 
 def test_one_evaluator_keeps_fresh_formulas_apart():

@@ -135,3 +135,18 @@ def test_relstructure_validates_tuples():
         RelStructure(voc, 2, {"E": frozenset({(0,)})})
     with pytest.raises(IdOutOfRange):
         RelStructure(voc, 2, {"E": frozenset({(0, 2)})})
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Vocabulary((("E", 2), ("E", 1))), MalformedInput),
+    (lambda: Vocabulary((("P", 0),)), MalformedInput),
+    (lambda: RelStructure(Vocabulary(()), 0, {}), MalformedInput),
+    (lambda: DiGraph(2, frozenset({(0, 2)})), IdOutOfRange),
+    (lambda: Graph(2, frozenset({(2, 0)})), IdOutOfRange),
+    (lambda: DiGraph(2, frozenset()).out_degree(-1), IdOutOfRange),
+    (lambda: reachable_closure(DiGraph(2, frozenset()), 2), IdOutOfRange),
+], ids=["duplicate-name", "arity-0", "empty-domain", "digraph-edge",
+        "graph-edge", "degree-id", "closure-root"])
+def test_constructors_and_lookups_refuse_bad_arguments(build, error):
+    with pytest.raises(error):
+        build()

@@ -123,6 +123,15 @@ def test_rejects_nested_lrec():
         translate_lrec_once(f, 2, (1,), CACHE)
 
 
+def test_eliminate_numbers_refuses_lrec():
+    # public, so it keeps its own check although translate_lrec_once
+    # refuses nested lrec first
+    f = parse_lsexpr(
+        "(lrec (y1) (y2) (i) (eq y1 y2) (atom E y1 y2) (bool f) (x) (k))")
+    with pytest.raises(NestedLrec):
+        eliminate_numbers(f, {"x": "x"}, {"k": 1}, 2, CACHE.interner)
+
+
 def test_rejects_wide_tuples():
     f = parse_lsexpr(
         "(lrec (a b) (c d) (i) (and (eq a c) (eq b d)) (bool f) "
