@@ -19,6 +19,7 @@ from .errors import (
     ArityMismatch,
     IdOutOfRange,
     MalformedInput,
+    PreconditionViolated,
     RangeViolation,
     SizeExceeded,
     UnboundVariable,
@@ -67,7 +68,7 @@ class CFormula:
         "nid",
         "qdepth",
         "fv",
-        "plans",
+        "family",
         "steps",
         "slot",
     )
@@ -119,9 +120,9 @@ def _derive(node: CFormula) -> None:
         free.discard(node.bound_var)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    # the node's plans by n and its _Steps, set by the first table
-    # evaluation, which also gives it its slot
-    node.plans = node.steps = None
+    # the node's _Steps, set by its first table plan, which also gives it
+    # its slot
+    node.steps = None
     # a child's free variables are a subset of the node's (a superset for
     # COUNT), so a child of the same size has the same ones: share its tuple
     for c in children:
@@ -135,14 +136,17 @@ class Interner:
     """Table mapping structural keys to unique nodes.
 
     `intern(node)` returns the node already stored under node's key, or
-    derives node's fields, gives it a nid and stores it. A node that loses
-    to an existing one is dropped without any derived work.
+    derives node's fields, gives it a nid and the interner's family and
+    stores it. A node that loses to an existing one is dropped without any
+    derived work. The family (`_Family`) holds what table evaluation
+    derives from the interner's nodes.
     """
 
     def __init__(self):
         self._table: dict[tuple, CFormula] = {}
         # the TRUE and FALSE nodes, interned on mk_bool's first use of each
         self._bools: dict[bool, CFormula] = {}
+        self.family = _Family()
 
     def intern(self, node: CFormula) -> CFormula:
         key = node.key()
@@ -151,6 +155,7 @@ class Interner:
             return existing
         _derive(node)
         node.nid = next(_NIDS)
+        node.family = self.family
         self._table[key] = node
         return node
 
@@ -540,13 +545,13 @@ def _shape(f: CFormula, positions: _Positions) -> tuple:
 
 class _Steps(dict):
     """The steps of the nodes of one shape, by n; each built on first use.
-    Every node of the shape in one family points here (`CFormula.steps`),
-    and so does the family (`_Family.by_shape`)."""
+    Every planned node of the shape in one family points here
+    (`CFormula.steps`), and so does the family (`_Family.by_shape`)."""
 
-    __slots__ = ("shape", "family")
+    __slots__ = ("shape",)
 
-    def __init__(self, shape: tuple, family: _Family):
-        self.shape, self.family = shape, family
+    def __init__(self, shape: tuple):
+        self.shape = shape
 
     def __missing__(self, n: int) -> tuple:
         # a build that raises SizeExceeded stores nothing
@@ -555,40 +560,21 @@ class _Steps(dict):
 
 
 class _Family:
-    """Nodes planned together (`_plan`), each at its slot: its index in
-    `nodes`. A node joins after its children, so its slot is higher than
-    theirs, at every n. The family keeps its nodes' steps by shape, the
-    tables of its nodes that n decides by n, and the child positions of
-    its AND and OR shapes."""
+    """What table evaluation derives from the nodes of one interner, which
+    owns the family: the steps of its planned nodes by shape, the tables of
+    its nodes that n decides by n, the child positions of its AND and OR
+    shapes, and the plans of its roots by (root, n). A node gets its slot,
+    the next of `size`, when it is first planned (`_plan`), after its
+    children, so its slot is higher than theirs, at every n."""
 
-    __slots__ = ("by_shape", "by_n", "nodes", "positions")
+    __slots__ = ("by_shape", "by_n", "positions", "size", "plans")
 
     def __init__(self):
         self.by_shape: dict[tuple, _Steps] = {}
         self.by_n: dict[int, dict[CFormula, int]] = {}
-        self.nodes: list[CFormula] = []
         self.positions = _Positions()
-
-    def merge(self, other: _Family) -> _Family:
-        """The larger of this family and other, having taken in the
-        other's nodes after its own, in their order: each gets the next
-        slot and the taker's steps of its shape (its own record, if the
-        taker has none), and the other's constant tables join the
-        taker's."""
-        taker, other = ((self, other) if len(self.nodes) >= len(other.nodes)
-                        else (other, self))
-        by_shape, members = taker.by_shape, taker.nodes
-        for f in other.nodes:
-            steps = by_shape.get(f.steps.shape)
-            if steps is None:
-                steps = by_shape[f.steps.shape] = f.steps
-                steps.family = taker
-            f.steps = steps
-            f.slot = len(members)
-            members.append(f)
-        for n, const in other.by_n.items():
-            taker.by_n.setdefault(n, {}).update(const)
-        return taker
+        self.size = 0
+        self.plans: dict[tuple, tuple] = {}
 
 
 class _Results(dict):
@@ -667,40 +653,32 @@ def _plan(root: CFormula, n: int) -> tuple:
     n elements changes and that root reads, and the other nodes root
     needs, children first. It reads no structure.
 
-    The nodes of root are listed children first (`nodes`). A listed node
-    without steps joins the family of the nodes listed before it (a new
-    one if there are none) with the steps of its shape; where a listed
-    node lies in another family, the larger of the two takes in the
-    other (`_Family.merge`), so root's nodes end in one family. A node is
-    constant at n when its step is _CONST, when it is an AND with an
-    empty child, or when its children are all constant (its own step then
-    gives its table); the family keeps the constant tables by n, so roots
-    that share a constant sub-DAG fold it once. Every listed node's step
-    is built, needed or not, so a table too large for n is refused
-    here."""
+    The nodes of root are listed children first (`nodes`); they must all
+    lie in root's family, so come from one interner (PreconditionViolated
+    if not). A listed node without steps gets the family's next slot and
+    the steps of its shape. A node is constant at n when its step is
+    _CONST, when it is an AND with an empty child, or when its children
+    are all constant (its own step then gives its table); the family
+    keeps the constant tables by n, so roots that share a constant sub-DAG
+    fold it once. Every listed node's step is built, needed or not, so a
+    table too large for n is refused here."""
     order = nodes(root)
-    family = const = None
+    family = root.family
+    const = family.by_n.setdefault(n, {})
     atoms = []
     for f in order:
+        if f.family is not family:
+            raise PreconditionViolated(
+                f"{root!r} has nodes of two interners, such as {f!r}")
         steps = f.steps
         if steps is None:
-            if family is None:
-                family = _Family()
-                const = family.by_n[n] = {}
             shape = _shape(f, family.positions)
             steps = family.by_shape.get(shape)
             if steps is None:
-                steps = family.by_shape[shape] = _Steps(shape, family)
+                steps = family.by_shape[shape] = _Steps(shape)
             f.steps = steps
-            f.slot = len(family.nodes)
-            family.nodes.append(f)
-        elif steps.family is not family:
-            # the first listed node, or one of another family than the
-            # nodes listed before it: the larger family takes in the other
-            family = steps.family if family is None else family.merge(
-                steps.family)
-            const = family.by_n.setdefault(n, {})
-            steps = f.steps
+            f.slot = family.size
+            family.size += 1
         if f in const:
             continue
         code, arg = steps[n]
@@ -745,25 +723,27 @@ class TableEvaluator:
     over a common sub-DAG) is free. What a node's step needs besides its
     children's tables is built once per shape and n (`_Steps`), so an
     evaluator pays only for the int operations and the atoms. The
-    evaluator keeps the tables of each family's nodes in a list, at the
+    evaluator keeps the tables of each interner's nodes in a list, at the
     nodes' slots (`_Family`), and the result of each reader or counter
     by the table it was given (`_Applied`), so an operation applied again
-    to a table of the same value is not run again; both die with it.
+    to a table of the same value is not run again; both die with it. A
+    root's nodes must come from one interner.
 
     A formula built for n elements must decide smaller structures too;
     on those, a count whose threshold exceeds the domain size is
     constant, and so is a conjunction over an empty one. So the first
-    evaluation of a root at each n builds its plan (`_plan`), kept on the
-    root; a plan depends on the root and n alone. Every evaluation at n,
-    the first too, checks the plan's atoms against its structure, loads
-    the constant tables the root reads, and evaluates only the other
-    nodes it needs. A plan skips nodes but no refusal: every step is
-    built and every atom is checked, needed or not.
+    evaluation of a root at each n builds its plan (`_plan`), kept in the
+    root's family; a plan depends on the root and n alone. Every
+    evaluation at n, the first too, checks the plan's atoms against its
+    structure, loads the constant tables the root reads, and evaluates
+    only the other nodes it needs. A plan skips nodes but no refusal:
+    every step is built and every atom is checked, needed or not.
     """
 
     def __init__(self, structure: RelStructure):
         self.structure = structure
-        # by family, the tables of its nodes by slot; None where not filled
+        # by interner's family, the tables of its nodes by slot; None where
+        # not filled
         self._regs: dict[_Family, list] = {}
         self._values = _Applied()
 
@@ -784,23 +764,21 @@ class TableEvaluator:
 
     def _tables(self, root: CFormula) -> int:
         """Fill the registers of the nodes root needs; root's table."""
+        family = root.family
         if root.steps is not None:
-            regs = self._regs.get(root.steps.family, ())
+            regs = self._regs.get(family, ())
             if root.slot < len(regs) and regs[root.slot] is not None:
                 return regs[root.slot]
         s = self.structure
         n = s.n
-        plans = root.plans
-        if plans is None:
-            plans = root.plans = {}
-        plan = plans.get(n)
+        plan = family.plans.get((root, n))
         if plan is None:
-            plan = plans[n] = _plan(root, n)
+            plan = family.plans[root, n] = _plan(root, n)
         atoms, loads, todo = plan
         for f in atoms:
             _check_atom(f, s)
-        # after the plan: a root's first plan gives it its family and slot
-        family, slot = root.steps.family, root.slot
+        # after the plan: a root's first plan gives it its slot
+        slot = root.slot
         regs = self._regs.get(family)
         if regs is None:
             regs = self._regs[family] = [None] * (slot + 1)

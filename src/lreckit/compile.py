@@ -316,11 +316,12 @@ def compile_x_formula(params: CompileParams, i: int, x: str = "x", *,
 
 def check_against_oracle(params: CompileParams, instances,
                          cache: FormulaCache) -> tuple[int, list[dict]]:
-    """Evaluate phi_1..phi_{n+1} at every vertex of every (graph,
-    condition) instance, encoded for size bound n, and compare with
-    compute_X. Returns the number of checks and the disagreements."""
+    """Evaluate phi_1..phi_{(n+1)^r}, one per resource, at every vertex
+    of every (graph, condition) instance, encoded for size bound n, and
+    compare with compute_X. Returns the number of checks and the
+    disagreements."""
     formulas = {i: compile_x_formula(params, i, cache=cache)
-                for i in range(1, params.n + 2)}
+                for i in range(1, (params.n + 1) ** params.r + 1)}
     checked = 0
     mismatches = []
     for idx, (g, c) in enumerate(instances):

@@ -32,6 +32,7 @@ from lreckit.errors import (
     ArityMismatch,
     IdOutOfRange,
     MalformedInput,
+    PreconditionViolated,
     SizeExceeded,
     UnboundVariable,
     UnknownSymbol,
@@ -125,7 +126,7 @@ def test_every_table_cell_matches_the_recursive_evaluator(s, t, f):
 @given(structures(), structures(), formulas(), formulas(), st.booleans())
 def test_roots_that_share_a_sub_dag_match_the_recursive_evaluator(
         s, t, g, h, g_first):
-    # a root's plans are kept on the root; nodes that an earlier root
+    # a root's plans are kept in its family; nodes that an earlier root
     # put in the memo are skipped, and a later evaluator on another n
     # builds another plan over the same steps
     assume(s.n != t.n)
@@ -137,12 +138,14 @@ def test_roots_that_share_a_sub_dag_match_the_recursive_evaluator(
 
 
 def assert_family_is_whole(root):
-    """Every node of root is in one family, whose slots are 0, 1, ...
-    in the order of its nodes, each node's above its children's."""
-    (family,) = {f.steps.family for f in nodes(root)}
-    assert [f.slot for f in family.nodes] == list(range(len(family.nodes)))
-    assert all(f.steps.family is family for f in family.nodes)
-    assert all(c.slot < f.slot for f in family.nodes for c in f.children)
+    """Every node of root is in root's family, at a distinct slot below
+    the family's size, each node's above its children's."""
+    family, order = root.family, nodes(root)
+    assert all(f.family is family for f in order)
+    slots = [f.slot for f in order]
+    assert len(set(slots)) == len(slots)
+    assert all(0 <= slot < family.size for slot in slots)
+    assert all(c.slot < f.slot for f in order for c in f.children)
 
 
 @settings(max_examples=100)
@@ -150,8 +153,8 @@ def assert_family_is_whole(root):
        st.data())
 def test_roots_in_any_order_on_one_evaluator_match(s, roots, data):
     # one evaluator's registers serve every root: a root may find its
-    # nodes filled by an earlier one, lie at a higher slot than the
-    # registers reach, or join two families an earlier root planned
+    # nodes filled by an earlier one, or lie at a higher slot than the
+    # registers reach
     ev = TableEvaluator(s)
     for i in data.draw(st.permutations(range(len(roots)))):
         assert_cells_match(ev, roots[i])
@@ -232,7 +235,7 @@ def test_a_kept_plan_checks_the_atoms_of_every_structure(symbols, error):
              mk_or([p, mk_atom("E", ("x", "y"), itn)], itn)]
     for root in roots:
         assert_cells_match(TableEvaluator(_random_e_and_r(2)), root)
-        assert 2 in root.plans
+        assert (root, 2) in root.family.plans
         other = RelStructure(Vocabulary(symbols), 2, {})
         with pytest.raises(error):
             TableEvaluator(other).eval(root, {"x": 0, "y": 0})
@@ -247,9 +250,9 @@ def test_a_plan_is_kept_when_its_first_structure_is_refused():
     lacks_p = RelStructure(Vocabulary((("E", 2),)), 2, {})
     with pytest.raises(UnknownSymbol):
         TableEvaluator(lacks_p).eval(root, {"x": 0, "y": 0})
-    plan = root.plans[2]
+    plan = root.family.plans[root, 2]
     assert_cells_match(TableEvaluator(_random_e_and_r(2)), root)
-    assert root.plans[2] is plan
+    assert root.family.plans[root, 2] is plan
 
 
 def test_a_table_too_large_is_refused_before_an_unknown_atom():
@@ -358,14 +361,14 @@ def test_reads_of_one_child_into_other_layouts_in_one_evaluator_match(n):
 
 def _kept_entries(root):
     """The entries each node of root and each of their steps records
-    hold: the node's plans, and its steps by n with their family's shapes,
-    constant tables and slots."""
+    hold: the node's steps by n, and its family's plans, shapes, constant
+    tables and slots."""
     kept = {}
     for f in nodes(root):
-        family = f.steps.family
-        kept[f] = (len(f.plans or ()), len(f.steps), len(family.by_shape),
+        family = f.family
+        kept[f] = (len(f.steps), len(family.plans), len(family.by_shape),
                    {n: len(c) for n, c in family.by_n.items()},
-                   len(family.nodes))
+                   family.size)
     return kept
 
 
@@ -384,23 +387,27 @@ def test_a_second_evaluator_at_one_n_keeps_nothing_new():
     assert _kept_entries(root) == kept
 
 
-def test_a_root_over_two_families_joins_them():
-    # g and h share no node, so their first plans make two families; a
-    # root over both, and over a NOT of another interner's atom, makes
-    # the larger family take in the smaller one's nodes at new slots
+def test_a_root_over_nodes_of_two_interners_is_refused():
+    # a NOT of another interner's atom lies in no family of the root's
+    itn = Interner()
+    loop = mk_atom("E", ("x", "x"), Interner())
+    root = mk_or([mk_atom("P", ("x",), itn), mk_not(loop, itn)], itn)
+    with pytest.raises(PreconditionViolated):
+        TableEvaluator(_random_e_and_r(3)).eval(root, {"x": 0})
+
+
+def test_a_root_over_roots_planned_first_matches():
+    # g and h share no node and are planned first; a root over both then
+    # plans its new nodes in the same family, on the evaluator that filled
+    # g and h and on fresh ones at two sizes
     itn = Interner()
     g = parse_sexpr("(count = 1 y (and (atom E x y) (atom P y)))", itn)
     h = parse_sexpr("(count >= 2 z (or (atom R x y z) (not (eq y z))))",
                     itn)
-    loop = mk_atom("E", ("x", "x"), Interner())
     ev = TableEvaluator(_random_e_and_r(3))
     for first in (g, h):
         assert_cells_match(ev, first)
-    assert g.steps.family is not h.steps.family
-    small = min(g.steps.family, h.steps.family, key=lambda fam: len(fam.nodes))
-    root = mk_or([g, mk_and([h, mk_not(loop, itn)], itn)], itn)
-    # the evaluator that filled g and h at their old slots, then fresh
-    # evaluators at two sizes, for the new root and the first two
+    root = mk_or([g, mk_and([h, mk_atom("P", ("z",), itn)], itn)], itn)
     assert_cells_match(ev, root)
     for first in (g, h):
         assert_cells_match(ev, first)
@@ -408,13 +415,23 @@ def test_a_root_over_two_families_joins_them():
         for r in (root, g, h):
             assert_cells_match(TableEvaluator(_random_e_and_r(n)), r)
     assert_family_is_whole(root)
-    assert root.steps.family is not small
-    # a root over a node the smaller family had and a new node plans
-    # within the one family
-    again = mk_and([g.children[0], mk_atom("P", ("z",), itn)], itn)
-    assert_cells_match(ev, again)
-    assert_family_is_whole(again)
-    assert again.steps.family is root.steps.family
+    assert g.family is h.family is root.family is itn.family
+
+
+def test_one_evaluator_keeps_the_registers_of_two_interners_apart():
+    # two formulas that differ in one atom, on two interners: their nodes
+    # have the same slots in either family, and one evaluator must not
+    # read one's tables as the other's (f holds nowhere, g at x = 0)
+    text = "(and (count = 1 y (and (atom E x y) (atom P y))) (atom {}))"
+    first, second = Interner(), Interner()
+    f = parse_sexpr(text.format("P x"), first)
+    g = parse_sexpr(text.format("E x x"), second)
+    s = RelStructure(VOC, 3, {"E": {(0, 0), (0, 1), (1, 2)}, "P": {(1,)}})
+    ev = TableEvaluator(s)
+    for root in (f, g, f, g):
+        assert_cells_match(ev, root)
+    assert f.family is first.family and g.family is second.family
+    assert f.slot == g.slot
 
 
 def test_evaluation_keeps_no_state_in_the_module():

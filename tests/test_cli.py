@@ -18,7 +18,7 @@ from helpers import (
     h8,
     path_graph,
 )
-from lreckit import cli, wl
+from lreckit import cli, corpus, wl
 from lreckit import compile as compiler
 from lreckit.cformula import MAX_NESTING, mk_not
 from lreckit.cli import main
@@ -130,6 +130,16 @@ def test_verify_reports_agreement(files):
     assert code == 0
     assert doc["ok"] and doc["mismatches"] == []
     assert doc["checked"] > 0
+
+
+def test_verify_checks_every_resource_of_r(files):
+    # at n = 1 and r = 2 the resources are 1..(1 + 1)**2 = 4: each is
+    # checked at every vertex of every instance
+    code, doc = run(["verify", "--n", "1", "--r", "2", "--seed", "1",
+                     "--count", "20"], files["out"])
+    instances = corpus.generate_corpus(1, 1, 20)
+    assert code == 0 and doc["ok"]
+    assert doc["checked"] == 4 * sum(g.n for g, _ in instances)
 
 
 def test_verify_exits_1_when_a_compiled_answer_is_wrong(monkeypatch,
