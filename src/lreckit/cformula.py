@@ -563,17 +563,27 @@ class _Family:
     """What table evaluation derives from the nodes of one interner, which
     owns the family: the steps of its planned nodes by shape, the tables of
     its nodes that n decides by n, the child positions of its AND and OR
-    shapes, and the plans of its roots by (root, n). A node gets its slot,
-    the next of `size`, when it is first planned (`_plan`), after its
-    children, so its slot is higher than theirs, at every n."""
+    shapes, the listing of each planned root, the nodes decided at each n
+    and the plans of its roots by (root, n).
 
-    __slots__ = ("by_shape", "by_n", "positions", "size", "plans")
+    A root's listing, built at its first plan at any n, is its nodes
+    children first (`nodes`) and one ATOM node per (symbol, arity) pair
+    of them, in the order they are first listed. A node gets its slot,
+    the next of `size`, when it is first listed, after its children, so
+    its slot is higher than theirs, at every n. `decided[n]` marks by
+    slot the nodes whose step at n is built and whose table, if n
+    decides it, is in `by_n[n]`; a later plan at n skips them."""
+
+    __slots__ = ("by_shape", "by_n", "positions", "size", "listings",
+                 "decided", "plans")
 
     def __init__(self):
         self.by_shape: dict[tuple, _Steps] = {}
         self.by_n: dict[int, dict[CFormula, int]] = {}
         self.positions = _Positions()
         self.size = 0
+        self.listings: dict[CFormula, tuple] = {}
+        self.decided: dict[int, bytearray] = {}
         self.plans: dict[tuple, tuple] = {}
 
 
@@ -602,113 +612,129 @@ class _Applied(dict):
         return results
 
 
-def _fill(regs, todo: Iterable[CFormula], n: int,
-          leaf: Callable[[CFormula], int] | None, values: _Applied) -> None:
-    """Put in regs, at its slot, the table at n of each node of todo whose
-    slot is empty (None), in turn: a node's children are in regs or
-    before it in todo. `leaf` gives the table of an ATOM node. No node of
-    todo has a _CONST step: `_plan` keeps those among its constant
-    tables. Child readers and COUNT counters are applied through
+def _fill(regs, prog: list, leaf: Callable[[CFormula], int] | None,
+          values: _Applied) -> None:
+    """Run prog, a plan's program (`_plan`): four entries per node, its
+    slot, its step's code and constant, and its children, children first.
+    Put each node's table in regs at its slot unless the slot is filled
+    (not None); a node's children are in regs or before it in prog.
+    `leaf` gives the table of an ATOM node, whose constant is the node.
+    No node of prog has a _CONST step: `_plan` keeps those among its
+    constant tables. Child readers and COUNT counters are applied through
     `values`."""
-    for f in todo:
-        slot = f.slot
+    it = iter(prog)
+    for slot, code, arg, children in zip(it, it, it, it):
         if regs[slot] is not None:
             continue
-        code, arg = f.steps[n]
         if code == _AND:
             tbl = -1
             if arg is None:
-                for c in f.children:
+                for c in children:
                     tbl &= regs[c.slot]
             else:
-                children = f.children
                 for read, group in arg:
                     t = -1
                     for i in group:
                         t &= regs[children[i].slot]
                     tbl &= t if read is None else values[read][t]
         elif code == _COUNT:
-            tbl = values[arg][regs[f.children[0].slot]]
+            tbl = values[arg][regs[children[0].slot]]
         elif code == _OR:
             tbl = 0
             if arg is None:
-                for c in f.children:
+                for c in children:
                     tbl |= regs[c.slot]
             else:
-                children = f.children
                 for read, group in arg:
                     t = 0
                     for i in group:
                         t |= regs[children[i].slot]
                     tbl |= t if read is None else values[read][t]
         elif code == _XOR:
-            tbl = regs[f.children[0].slot] ^ arg
+            tbl = regs[children[0].slot] ^ arg
         else:
-            tbl = leaf(f)
+            tbl = leaf(arg)
         regs[slot] = tbl
 
 
 def _plan(root: CFormula, n: int) -> tuple:
-    """The plan of root at n: its atoms, the tables that no structure of
-    n elements changes and that root reads, and the other nodes root
-    needs, children first. It reads no structure.
+    """The plan of root at n: one atom per (symbol, arity) pair of root's,
+    the tables by slot that no structure of n elements changes and that
+    root reads, and the program (`_fill`) of the other nodes root needs.
+    It reads no structure.
 
-    The nodes of root are listed children first (`nodes`); they must all
-    lie in root's family, so come from one interner (PreconditionViolated
-    if not). A listed node without steps gets the family's next slot and
-    the steps of its shape. A node is constant at n when its step is
-    _CONST, when it is an AND with an empty child, or when its children
-    are all constant (its own step then gives its table); the family
-    keeps the constant tables by n, so roots that share a constant sub-DAG
-    fold it once. Every listed node's step is built, needed or not, so a
-    table too large for n is refused here."""
-    order = nodes(root)
+    The first plan of root at any n builds its listing (`_Family`). The
+    nodes of root must all lie in root's family, so come from one
+    interner (PreconditionViolated if not). A listed node without steps
+    gets the family's next slot and the steps of its shape.
+
+    A node is constant at n when its step is _CONST, when it is an AND
+    with an empty child, or when its children are all constant (its own
+    step, run by `_fill`, then gives its table); the family keeps the
+    constant tables by n, so roots that share a constant sub-DAG fold it
+    once. The family marks a node decided at n once its step is built
+    and its constness recorded, and a later plan at n skips it. So every
+    listed node's step at n is built, needed or not, by this plan or an
+    earlier one, and a table too large for n is refused here: a step
+    that raised SizeExceeded leaves its node unmarked, so every root
+    that lists it is refused."""
     family = root.family
+    listing = family.listings.get(root)
+    if listing is None:
+        order, atoms = nodes(root), {}
+        for f in order:
+            if f.family is not family:
+                raise PreconditionViolated(
+                    f"{root!r} has nodes of two interners, such as {f!r}")
+            if f.steps is None:
+                shape = _shape(f, family.positions)
+                steps = family.by_shape.get(shape)
+                if steps is None:
+                    steps = family.by_shape[shape] = _Steps(shape)
+                f.steps = steps
+                f.slot = family.size
+                family.size += 1
+            if f.kind == ATOM:
+                atoms.setdefault((f.symbol, len(f.vars)), f)
+        listing = family.listings[root] = order, list(atoms.values())
+    order, atoms = listing
     const = family.by_n.setdefault(n, {})
-    atoms = []
+    decided = family.decided.setdefault(n, bytearray())
+    decided += bytes(family.size - len(decided))
     for f in order:
-        if f.family is not family:
-            raise PreconditionViolated(
-                f"{root!r} has nodes of two interners, such as {f!r}")
-        steps = f.steps
-        if steps is None:
-            shape = _shape(f, family.positions)
-            steps = family.by_shape.get(shape)
-            if steps is None:
-                steps = family.by_shape[shape] = _Steps(shape)
-            f.steps = steps
-            f.slot = family.size
-            family.size += 1
-        if f in const:
+        if decided[f.slot]:
             continue
-        code, arg = steps[n]
+        code, arg = f.steps[n]
         if code == _CONST:
             const[f] = arg
-        elif code == _LEAF:
-            atoms.append(f)
-        elif not const.keys().isdisjoint(f.children):
+        elif code != _LEAF and not const.keys().isdisjoint(f.children):
             # a node with no constant child is not constant
             kids = list(map(const.get, f.children))
             if None not in kids:
                 # registers for the children and f alone
                 regs = dict(zip([c.slot for c in f.children], kids))
                 regs[f.slot] = None
-                _fill(regs, (f,), n, None, _Applied())
+                _fill(regs, [f.slot, code, arg, f.children], None,
+                      _Applied())
                 const[f] = regs[f.slot]
             elif 0 in kids and code == _AND:
                 const[f] = 0
+        decided[f.slot] = 1
     # from the root down, stopping at constant nodes
-    needed, loads, todo = {root}, {}, []
+    needed, loads, prog = {root}, {}, []
     for f in reversed(order):
         if f in needed:
             tbl = const.get(f)
             if tbl is None:
-                todo.append(f)
+                code, arg = f.steps[n]
+                # reversed below with the nodes: slot, code, constant,
+                # children
+                prog += f.children, f if code == _LEAF else arg, code, f.slot
                 needed.update(f.children)
             else:
-                loads[f] = tbl
-    todo.reverse()
-    return atoms, loads, todo
+                loads[f.slot] = tbl
+    prog.reverse()
+    return atoms, loads, prog
 
 
 class TableEvaluator:
@@ -734,10 +760,12 @@ class TableEvaluator:
     constant, and so is a conjunction over an empty one. So the first
     evaluation of a root at each n builds its plan (`_plan`), kept in the
     root's family; a plan depends on the root and n alone. Every
-    evaluation at n, the first too, checks the plan's atoms against its
-    structure, loads the constant tables the root reads, and evaluates
-    only the other nodes it needs. A plan skips nodes but no refusal:
-    every step is built and every atom is checked, needed or not.
+    evaluation at n, the first too, checks one atom of each (symbol,
+    arity) pair of the root against its structure, loads the constant
+    tables the root reads, and runs the plan's program (`_fill`) over the
+    other nodes it needs. A plan skips nodes but no refusal: every step
+    is built and every atom's symbol and arity are checked, needed or
+    not.
     """
 
     def __init__(self, structure: RelStructure):
@@ -774,7 +802,7 @@ class TableEvaluator:
         plan = family.plans.get((root, n))
         if plan is None:
             plan = family.plans[root, n] = _plan(root, n)
-        atoms, loads, todo = plan
+        atoms, loads, prog = plan
         for f in atoms:
             _check_atom(f, s)
         # after the plan: a root's first plan gives it its slot
@@ -784,9 +812,9 @@ class TableEvaluator:
             regs = self._regs[family] = [None] * (slot + 1)
         elif len(regs) <= slot:
             regs += [None] * (slot + 1 - len(regs))
-        for f, tbl in loads.items():
-            regs[f.slot] = tbl
-        _fill(regs, todo, n, self._leaf, self._values)
+        for at, tbl in loads.items():
+            regs[at] = tbl
+        _fill(regs, prog, self._leaf, self._values)
         return regs[slot]
 
     def eval(self, f: CFormula, assignment: dict[str, int] | None = None) -> bool:

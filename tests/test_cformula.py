@@ -46,15 +46,17 @@ VARS = ("x", "y", "z")
 ITN = Interner()
 
 
-def structures(max_n=4):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.builds(
-            lambda e, p, r: RelStructure(VOC, n, {"E": e, "P": p, "R": r}),
-            st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
-            st.frozensets(st.tuples(st.integers(0, n - 1))),
-            st.frozensets(st.tuples(*[st.integers(0, n - 1)] * 3)),
-        )
+def structures_of(n):
+    return st.builds(
+        lambda e, p, r: RelStructure(VOC, n, {"E": e, "P": p, "R": r}),
+        st.frozensets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        st.frozensets(st.tuples(st.integers(0, n - 1))),
+        st.frozensets(st.tuples(*[st.integers(0, n - 1)] * 3)),
     )
+
+
+def structures(max_n=4):
+    return st.integers(1, max_n).flatmap(structures_of)
 
 
 def formulas():
@@ -268,6 +270,56 @@ def test_a_table_too_large_is_refused_before_an_unknown_atom():
         TableEvaluator(sixty).eval(root, {"x": 0})
 
 
+def test_a_node_refused_at_n_is_refused_for_every_root_that_lists_it():
+    # at 28 elements the conjunction over (a, b, c, d, e) has 28**5 cells;
+    # the count over it never passes, so it builds no table and needs
+    # nothing of the conjunction, which it lists after the conjunction's
+    # own plan was refused
+    itn = Interner()
+    body = mk_and([mk_atom("R", ("a", "c", "e"), itn),
+                   mk_atom("E", ("b", "d"), itn)], itn)
+    wide = RelStructure(VOC, 28, {})
+    assignment = dict.fromkeys("abcde", 0)
+    for root in (body, mk_count(">=", 29, "e", body, itn)):
+        with pytest.raises(SizeExceeded):
+            TableEvaluator(wide).eval(root, assignment)
+
+
+@pytest.mark.parametrize("symbols, error", [
+    ((("P", 1), ("R", 3)), UnknownSymbol),
+    ((("E", 3), ("P", 1), ("R", 3)), ArityMismatch),
+])
+def test_a_root_planned_after_another_checks_its_shared_atoms(symbols,
+                                                              error):
+    # g is planned first, so its nodes are decided at n = 2 when the roots
+    # over it are planned; each still checks E, which only g reads, and
+    # the first needs nothing of g (x = x always holds)
+    itn = Interner()
+    g = parse_sexpr("(and (atom P x) (count >= 1 y (atom E x y)))", itn)
+    roots = [mk_and([mk_not(mk_eq("x", "x", itn), itn), g], itn),
+             mk_or([g, mk_atom("R", ("x", "x", "x"), itn)], itn)]
+    ev = TableEvaluator(_random_e_and_r(2))
+    for root in [g] + roots:
+        assert_cells_match(ev, root)
+    other = RelStructure(Vocabulary(symbols), 2, {})
+    for root in roots:
+        with pytest.raises(error):
+            TableEvaluator(other).eval(root, {"x": 0})
+
+
+@settings(max_examples=50)
+@given(st.lists(formulas(), min_size=2, max_size=4),
+       st.tuples(*map(structures_of, (1, 2, 3))), st.data())
+def test_roots_planned_at_several_sizes_in_any_order_match(roots, sized,
+                                                           data):
+    # each (root, n) is planned on a fresh evaluator, in a drawn order:
+    # a plan at n skips the nodes that an earlier root decided at n
+    pairs = [(root, s) for root in roots for s in sized]
+    for i in data.draw(st.permutations(range(len(pairs)))):
+        root, s = pairs[i]
+        assert_cells_match(TableEvaluator(s), root)
+
+
 def test_nodes_of_one_shape_share_their_steps():
     # a shape reads positions, not names: E(x, y) & P(y) and E(u, w) & P(w)
     # have one; a count binds x or u at position 0, another y at 1
@@ -362,13 +414,14 @@ def test_reads_of_one_child_into_other_layouts_in_one_evaluator_match(n):
 def _kept_entries(root):
     """The entries each node of root and each of their steps records
     hold: the node's steps by n, and its family's plans, shapes, constant
-    tables and slots."""
+    tables, slots, listings and decided marks by n."""
     kept = {}
     for f in nodes(root):
         family = f.family
         kept[f] = (len(f.steps), len(family.plans), len(family.by_shape),
                    {n: len(c) for n, c in family.by_n.items()},
-                   family.size)
+                   family.size, len(family.listings),
+                   {n: bytes(d) for n, d in family.decided.items()})
     return kept
 
 
